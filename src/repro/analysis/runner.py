@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import pickle
 import tempfile
@@ -107,21 +108,58 @@ def _code_version() -> str:
 # ---------------------------------------------------------------------------
 
 
+#: Largest node count a topology spec may name.  The paper's networks
+#: have 256 nodes; far past this bound both engines exhaust memory long
+#: before a run finishes, so such specs are refused up front.
+MAX_TOPOLOGY_NODES = 65_536
+
+
+def _spec_log2_nodes(kind: str, sizes: Tuple[int, ...]) -> float:
+    """log2 of the node count a positive shape names (0.0 for anything
+    malformed), computed without building or multiplying anything out —
+    ``torus:16x16`` alone names 2**64 nodes."""
+    if not sizes or min(sizes) < 1:
+        return 0.0
+    if kind == "mesh":
+        return sum(math.log2(size) for size in sizes)
+    if kind == "cube" and len(sizes) == 1:
+        return float(sizes[0])
+    if kind == "torus" and len(sizes) == 2:
+        return sizes[1] * math.log2(sizes[0])
+    return 0.0
+
+
 def parse_topology_spec(spec: str) -> Topology:
     """Parse ``mesh:16x16`` / ``cube:8`` / ``torus:8x2`` into a topology.
 
-    Raises :class:`ValueError` for malformed specs (the CLI wraps this
-    into a usage error).
+    Raises :class:`ValueError` for malformed specs and for specs naming
+    more than :data:`MAX_TOPOLOGY_NODES` nodes (the CLI wraps this into
+    a usage error).
     """
+    kind, _, shape = spec.partition(":")
     try:
-        kind, _, shape = spec.partition(":")
+        sizes = tuple(int(part) for part in shape.split("x"))
+    except ValueError:
+        sizes = ()
+    log2_nodes = _spec_log2_nodes(kind, sizes)
+    if log2_nodes > math.log2(MAX_TOPOLOGY_NODES):
+        nodes = (
+            f"{2**log2_nodes:,.0f}"
+            if log2_nodes < 53
+            else f"about 2**{log2_nodes:.0f}"
+        )
+        raise ValueError(
+            f"topology spec {spec!r} names {nodes} nodes; at most "
+            f"{MAX_TOPOLOGY_NODES:,} are supported"
+        )
+    try:
         if kind == "mesh":
-            dims = tuple(int(part) for part in shape.split("x"))
-            return mesh(dims)
+            return mesh(sizes)
         if kind == "cube":
-            return Hypercube(int(shape))
+            (order,) = sizes
+            return Hypercube(order)
         if kind == "torus":
-            k, n = (int(part) for part in shape.split("x"))
+            k, n = sizes
             return KAryNCube(k, n)
     except (ValueError, TypeError):
         pass

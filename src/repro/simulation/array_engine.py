@@ -26,17 +26,22 @@ streaming collectors (channel-util series, router blocked cycles,
 latency histograms) are vectorized too: failures become per-cycle dead
 masks over the LUT candidate arrays, watchdog ages are array compares,
 and collector counters are scatter-adds over the shared arena.
-Multi-VC points (plain multi-VC mesh, torus dateline classes, escape-VC
-adaptive) widen the arena with a runtime-channel axis — one lane per
-(physical channel, vc) — flatten the per-VC-class candidate sets of
-``repro.routing.virtual`` into the same integer LUTs, reduce the
-(direction, vc) pair columns to the engine's per-direction first-free
-pair before selection, and serialise the one-flit-per-physical-link
-arbitration with the run-rank/lexsort technique so the engine's rotated
-per-member movement order is replayed exactly.  ``PhaseProfiler`` hooks
-no longer demote either: profiled runs time the kernel passes
-(faults/retries/generate/inject/allocate/advance/watchdog/collect)
-around unchanged state transitions, so they stay bit-identical.  Points
+Routing LUTs have one layout for every VC count (see
+:class:`_GroupTables`): rows keyed by (node, dest, arrival direction,
+arrival VC), columns of (direction, vc) candidate pairs in (dim, sign)
+order as int32 runtime-channel ids with int8 misroute and direction
+flags, and escape tables allocated on first use.  A single-VC group is
+simply the ``num_vc=1`` case.  Multi-VC points (plain multi-VC mesh,
+torus dateline classes, escape-VC adaptive) widen the arena with a
+runtime-channel axis — one lane per (physical channel, vc) — reduce the
+pair columns to the engine's per-direction first-free pair before
+selection, and serialise the one-flit-per-physical-link arbitration with
+the run-rank/lexsort technique so the engine's rotated per-member
+movement order is replayed exactly.  ``PhaseProfiler`` hooks no longer
+demote either: the one cycle body closes each kernel pass
+(faults/retries/generate/inject/allocate/advance/watchdog/collect) with
+a timing mark that is a no-op when nothing is profiled, around
+unchanged state transitions, so profiled runs stay bit-identical.  Points
 outside the envelope (legacy policies that draw from the RNG, trace
 sinks, LUTs past the entry cap) fall back to driving a cycle-locked
 :class:`~repro.simulation.engine.WormholeSimulator` member — the same
@@ -63,7 +68,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from typing import Deque, Dict, List, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 try:  # numpy is the optional `repro[array]` extra
     import numpy as np
@@ -85,9 +90,10 @@ _EJECT_WAIT = 2
 _EJECTING = 3
 _DONE = 4
 
-#: Candidate lookup tables beyond this many int32 entries are not built;
-#: the affected members fall back to the scalar path instead of paying
-#: hundreds of MB per (algorithm, topology) group.
+#: Candidate lookup tables beyond this many entries (each an int32
+#: channel id plus two int8 flags) are not built; the affected members
+#: fall back to the scalar path instead of paying hundreds of MB per
+#: (algorithm, topology, VC count) group.
 _LUT_ENTRY_CAP = 33_554_432
 
 #: ``ch_warm`` sentinel for channels whose member does not track load
@@ -239,11 +245,12 @@ class _GroupTables:
     """Per-(algorithm kind, topology shape, VC class) integer routing LUTs.
 
     Flattens the memoised :class:`~repro.routing.table.RoutingTable`
-    answers into ``[node x dest x (in_direction+1)] -> K`` local channel
-    ids (xy-sorted so *first free wins* is exactly the paper's xy output
-    selection), plus a parallel misroute flag per entry (the engine's
-    ``distance(ch.dst, dest) >= distance(ch.src, dest)`` test).  Rows
-    build lazily, only for decisions that actually occur.  Shared by
+    answers into ``[node x dest x (in_direction+1) x in_vc] -> K``
+    local channel ids (xy-sorted so *first free wins* is exactly the
+    paper's xy output selection), plus a parallel misroute flag per
+    entry (the engine's ``distance(ch.dst, dest) >= distance(ch.src,
+    dest)`` test).  Rows build lazily, only for decisions that actually
+    occur.  Shared by
     every batch member with the same algorithm class+name, topology
     class+shape, and ``virtual_channels`` — routing here is a pure
     function of those (the turn-model algorithms are stateless by
@@ -254,22 +261,29 @@ class _GroupTables:
     commutes with the dedup+sort used here, because only the candidate
     *set* is observable).
 
-    **Multi-VC layout** (``num_vc > 1``): rows gain an arrival-VC axis —
+    **Layout** (one for every VC count): rows carry an arrival-VC axis —
     ``row = ((node*N + dest)*(num_dirs+1) + diridx)*num_vc + in_vc`` with
     ``in_vc = 0`` for pre-injection headers (the engine queries with
     ``in_vc=None`` there, and ``pk_head_vc`` starts at 0) — and columns
-    hold up to ``K = num_dirs*num_vc`` *(direction, vc)* pairs in the
-    algorithm's ``vc_candidates`` order (NOT sorted: the VC preference
-    within a direction is order-significant — the engine grants the
-    first free candidate of the selected direction).  ``cand`` stores
-    member-local *runtime* channel ids (``physical*num_vc + vc``), and a
-    parallel ``cdirk`` column gives each pair's dense direction key
+    hold up to ``K = num_dirs*num_vc`` *(direction, vc)* pairs, deduped
+    by first appearance and stably sorted by ``(dim, sign)``: the stable
+    sort keeps the algorithm's VC preference within a direction (the
+    engine grants the first free candidate of the selected direction).
+    ``cand`` stores member-local *runtime* channel ids
+    (``physical*num_vc + vc``) as int32, ``cmis`` the int8 misroute
+    flag, and ``cdirk`` each pair's int8 dense direction key
     (``dir_index``, 1-based) so arbitration can collapse the pair
     columns to the direction-level ``sorted(options)`` view every
-    selection policy consumes.  Invalid pairs (no such physical channel
-    at a mesh edge, or ``vc`` out of range) are skipped exactly like the
-    engine's ``_vc_pairs``.  Escape tables allocate lazily — many VC
-    groups never exhaust their minimal candidates.
+    selection policy consumes.  With one VC, rows query the single-VC
+    memo keys (``candidates``/``escape_candidates``, each direction ``d``
+    read as the pair ``(d, 0)``) and the columns already *are* that
+    view.  Invalid pairs (no such physical channel at a mesh edge,
+    or ``vc`` out of range) are skipped exactly like the engine's
+    ``_vc_pairs``; padding is -1.  The escape tables (``esc``/``emis``/
+    ``edirk``) allocate on the first escape-row request — minimal
+    algorithms and many VC groups never exhaust their minimal
+    candidates.  A ``cube:8`` p-cube group (1.1M rows x 16 columns)
+    holds about 104 MiB until then.
     """
 
     def __init__(self, algorithm, topology, num_vc: int = 1) -> None:
@@ -288,32 +302,25 @@ class _GroupTables:
         self.channel_ids = {
             (c.src, c.direction): i for i, c in enumerate(physical)
         }
-        rows = self.N * self.N * (self.num_dirs + 1) * num_vc
-        self.rows = rows
-        self.ok = rows * self.K <= _LUT_ENTRY_CAP
-        if self.ok:
-            if num_vc == 1:
-                self.cand = np.full((rows, self.K), -1, dtype=np.int64)
-                self.cmis = np.zeros((rows, self.K), dtype=np.int64)
-                self.cbuilt = np.zeros(rows, dtype=bool)
-                self.esc = np.full((rows, self.K), -1, dtype=np.int64)
-                self.emis = np.zeros((rows, self.K), dtype=np.int64)
-                self.ebuilt = np.zeros(rows, dtype=bool)
-                self.cdirk = self.edirk = None
-            else:
-                # Narrow dtypes: VC tables are num_vc^2 larger than the
-                # single-VC ones (5.2M rows x 8 cols for a 16x16 torus
-                # at num_vc=2), so int32 ids + int8 flags keep a cached
-                # group tens of MB instead of hundreds.
-                self.cand = np.full((rows, self.K), -1, dtype=np.int32)
-                self.cmis = np.zeros((rows, self.K), dtype=np.int8)
-                self.cdirk = np.zeros((rows, self.K), dtype=np.int8)
-                self.cbuilt = np.zeros(rows, dtype=bool)
-                self.esc = self.emis = self.edirk = None
-                self.ebuilt = np.zeros(rows, dtype=bool)
+        self.rows = self.N * self.N * (self.num_dirs + 1) * num_vc
+        self.cand, self.cmis, self.cdirk = self._alloc()
+        self.cbuilt = np.zeros(self.rows, dtype=bool)
+        self.esc = self.emis = self.edirk = None
+        self.ebuilt = np.zeros(self.rows, dtype=bool)
 
-    def key_of(self, algorithm, topology) -> tuple:
-        return _group_key(algorithm, topology, self.num_vc)
+    def _alloc(self) -> tuple:
+        shape = (self.rows, self.K)
+        return (
+            np.full(shape, -1, dtype=np.int32),
+            np.zeros(shape, dtype=np.int8),
+            np.zeros(shape, dtype=np.int8),
+        )
+
+    def row_of(self, node, dest, in_diridx, in_vc):
+        """LUT row of a header (elementwise on arrays); ``in_diridx`` is
+        the 1-based arrival ``dir_index``, 0 before injection."""
+        span = self.num_dirs + 1
+        return ((node * self.N + dest) * span + in_diridx) * self.num_vc + in_vc
 
     def ensure_rows(self, rows, escape: bool) -> None:
         built = self.ebuilt if escape else self.cbuilt
@@ -321,12 +328,9 @@ class _GroupTables:
         if hit.all():
             return
         if escape and self.esc is None:
-            self.esc = np.full((self.rows, self.K), -1, dtype=np.int32)
-            self.emis = np.zeros((self.rows, self.K), dtype=np.int8)
-            self.edirk = np.zeros((self.rows, self.K), dtype=np.int8)
-        build = self._build_vc_row if self.num_vc > 1 else self._build_row
+            self.esc, self.emis, self.edirk = self._alloc()
         for r in np.unique(rows[~hit]):
-            build(int(r), escape)
+            self._build_row(int(r), escape)
 
     def _misroute(self, cid: int, dest: int) -> int:
         channel = self.channels[cid]
@@ -343,52 +347,34 @@ class _GroupTables:
         return int(near >= far)
 
     def _build_row(self, row: int, escape: bool) -> None:
-        span = self.num_dirs + 1
-        diridx = row % span
-        nd = row // span
-        dest = nd % self.N
-        node = nd // self.N
-        in_direction = self.index_dir[diridx]
-        if escape:
-            dirs = self.table.escape_candidates(node, dest, in_direction)
-            out, mis, built = self.esc, self.emis, self.ebuilt
-        else:
-            dirs = self.table.candidates(node, dest, in_direction)
-            out, mis, built = self.cand, self.cmis, self.cbuilt
-        # First-appearance dedup (as the engine does) then xy order, so
-        # "first free entry" is the xy output-selection winner.
-        ordered = sorted(dict.fromkeys(dirs), key=lambda d: (d.dim, d.sign))
-        for j, d in enumerate(ordered):
-            cid = self.channel_ids[(node, d)]
-            out[row, j] = cid
-            mis[row, j] = self._misroute(cid, dest)
-        built[row] = True
-
-    def _build_vc_row(self, row: int, escape: bool) -> None:
         num_vc = self.num_vc
+        # The inverse of ``row_of``.
         rest, vcslot = divmod(row, num_vc)
-        span = self.num_dirs + 1
-        diridx = rest % span
-        nd = rest // span
-        dest = nd % self.N
-        node = nd // self.N
+        rest, diridx = divmod(rest, self.num_dirs + 1)
+        node, dest = divmod(rest, self.N)
         in_direction = self.index_dir[diridx]
-        # Pre-injection headers have head_vc = None in the engine (the
-        # arena keeps pk_head_vc = 0 and only row vcslot 0 is reachable
-        # while pk_head_dir == 0), so replay the memo key exactly.
-        in_vc = vcslot if diridx else None
+        table = self.table
+        if num_vc == 1:
+            # The event engine's single-VC memo keys: plain directions.
+            query = table.escape_candidates if escape else table.candidates
+            pairs = [(d, 0) for d in query(node, dest, in_direction)]
+        else:
+            # Pre-injection headers have head_vc = None in the engine
+            # (the arena keeps pk_head_vc = 0 and only row vcslot 0 is
+            # reachable while pk_head_dir == 0), so replay the memo key.
+            query = table.vc_escape_candidates if escape else table.vc_candidates
+            in_vc = vcslot if diridx else None
+            pairs = query(node, dest, in_direction, in_vc, num_vc)
         if escape:
-            pairs = self.table.vc_escape_candidates(
-                node, dest, in_direction, in_vc, num_vc
-            )
             out, mis, dirk, built = self.esc, self.emis, self.edirk, self.ebuilt
         else:
-            pairs = self.table.vc_candidates(
-                node, dest, in_direction, in_vc, num_vc
-            )
             out, mis, dirk, built = self.cand, self.cmis, self.cdirk, self.cbuilt
+        # First-appearance dedup (as the engine does), then a stable
+        # (dim, sign) sort: "first free entry" is the xy winner, and the
+        # VC preference within each direction survives.
+        ordered = sorted(dict.fromkeys(pairs), key=lambda p: (p[0].dim, p[0].sign))
         j = 0
-        for d, vc in pairs:
+        for d, vc in ordered:
             base = self.channel_ids.get((node, d))
             if base is None or not 0 <= vc < num_vc:
                 continue
@@ -936,9 +922,7 @@ class _BatchCore:
         self.ch_freed = np.zeros(total_ch + 1, dtype=bool)
         self._any_freed = False
         self._wpad = total_ch
-        self._wwidth = max(
-            (2 * g.K for g in self.groups if g.ok), default=1
-        )
+        self._wwidth = max((2 * g.K for g in self.groups), default=1)
 
         nfast = len(self.fast)
         self.f_group = np.asarray(group_of, dtype=np.int64)
@@ -1372,17 +1356,14 @@ class _BatchCore:
         cycle: int,
     ) -> None:
         sims = self.pk_sim[slots]
-        node = self.pk_head_node[slots]
-        dest = self.pk_dst[slots]
-        num_vc = group.num_vc
-        rows = (
-            (node * group.N + dest) * (group.num_dirs + 1)
-            + self.pk_head_dir[slots]
+        # Rows carry the arrival-VC class (pk_head_vc is 0 pre-injection,
+        # exactly the engine's in_vc=None memo key).
+        rows = group.row_of(
+            self.pk_head_node[slots],
+            self.pk_dst[slots],
+            self.pk_head_dir[slots],
+            self.pk_head_vc[slots],
         )
-        if num_vc > 1:
-            # Multi-VC rows carry the arrival-VC class (pk_head_vc is 0
-            # pre-injection, exactly the engine's in_vc=None memo key).
-            rows = rows * num_vc + self.pk_head_vc[slots]
         group.ensure_rows(rows, escape=False)
         offs = self.f_ch_off[sims][:, None]
         cand = group.cand[rows]
@@ -1398,42 +1379,16 @@ class _BatchCore:
         free = valid & (self.ch_owner[gchan] < 0)
         has = free.any(axis=1)
         idx = np.nonzero(has)[0]
-        # Selection policies beyond xy need the full free mask per
-        # header, not just the first free column; route those requesters
-        # through the policy picker below.
-        policied = self._needs_policy and bool(
-            (self.m_policy[sims] != 0).any()
-        )
-        sel_slots: List = []
-        sel_free: List = []
-        sel_gchan: List = []
-        sel_mis: List = []
+        # Direction-level (slots, free, gchan, mis) blocks of every header
+        # with a free candidate: minimal first, then misroute escapes.
+        blocks: List[tuple] = []
         if idx.size:
-            if num_vc > 1:
-                dfree, dgchan, dmis = self._reduce_vc(
+            blocks.append(
+                (slots[idx],)
+                + self._direction_columns(
                     group, rows[idx], free[idx], gchan[idx], escape=False
                 )
-                if policied:
-                    sel_slots.append(slots[idx])
-                    sel_free.append(dfree)
-                    sel_gchan.append(dgchan)
-                    sel_mis.append(dmis)
-                else:
-                    pick = dfree.argmax(axis=1)
-                    ar = np.arange(idx.size)
-                    req_slots.append(slots[idx])
-                    req_ch.append(dgchan[ar, pick])
-                    req_mis.append(dmis[ar, pick])
-            elif policied:
-                sel_slots.append(slots[idx])
-                sel_free.append(free[idx])
-                sel_gchan.append(gchan[idx])
-                sel_mis.append(group.cmis[rows[idx]])
-            else:
-                pick = free[idx].argmax(axis=1)
-                req_slots.append(slots[idx])
-                req_ch.append(gchan[idx, pick])
-                req_mis.append(group.cmis[rows[idx], pick])
+            )
         # Misroute escapes: only headers with zero free minimal
         # candidates and misroute budget left consult the escape table.
         bidx = np.nonzero(~has)[0]
@@ -1466,32 +1421,13 @@ class _BatchCore:
                 has = free.any(axis=1)
                 fidx = np.nonzero(has)[0]
                 if fidx.size:
-                    if num_vc > 1:
-                        dfree, dgchan, dmis = self._reduce_vc(
+                    blocks.append(
+                        (bslots[eidx[fidx]],)
+                        + self._direction_columns(
                             group, erows[fidx], free[fidx], gchan[fidx],
                             escape=True,
                         )
-                        if policied:
-                            sel_slots.append(bslots[eidx[fidx]])
-                            sel_free.append(dfree)
-                            sel_gchan.append(dgchan)
-                            sel_mis.append(dmis)
-                        else:
-                            pick = dfree.argmax(axis=1)
-                            ar = np.arange(fidx.size)
-                            req_slots.append(bslots[eidx[fidx]])
-                            req_ch.append(dgchan[ar, pick])
-                            req_mis.append(dmis[ar, pick])
-                    elif policied:
-                        sel_slots.append(bslots[eidx[fidx]])
-                        sel_free.append(free[fidx])
-                        sel_gchan.append(gchan[fidx])
-                        sel_mis.append(group.emis[erows[fidx]])
-                    else:
-                        pick = free[fidx].argmax(axis=1)
-                        req_slots.append(bslots[eidx[fidx]])
-                        req_ch.append(gchan[fidx, pick])
-                        req_mis.append(group.emis[erows[fidx], pick])
+                    )
                     requested[eidx[fidx]] = True
             # Headers that produced no request at all park until one of
             # their wait channels is released (see ``_arbitrate_vec``).
@@ -1502,33 +1438,44 @@ class _BatchCore:
                 if 2 * K < self._wwidth:
                     self.pk_wchan[pslots, 2 * K :] = pad
                 self.pk_arbwait[pslots] = True
-        if sel_slots:
-            aslots = np.concatenate(sel_slots)
-            afree = np.vstack(sel_free)
-            agchan = np.vstack(sel_gchan)
-            amis = np.vstack(sel_mis)
+        if not blocks:
+            return
+        if len(blocks) == 1:
+            aslots, afree, agchan, amis = blocks[0]
+        else:
+            aslots, afree, agchan, amis = (
+                np.concatenate(parts) for parts in zip(*blocks)
+            )
+        # Selection policies beyond xy need the full free mask per
+        # header; xy is the first free column.
+        if self._needs_policy and bool((self.m_policy[sims] != 0).any()):
             pick = self._select_cols(aslots, afree, agchan, cycle)
-            rows_ar = np.arange(aslots.size)
-            req_slots.append(aslots)
-            req_ch.append(agchan[rows_ar, pick])
-            req_mis.append(amis[rows_ar, pick])
+        else:
+            pick = afree.argmax(axis=1)
+        rows_ar = np.arange(aslots.size)
+        req_slots.append(aslots)
+        req_ch.append(agchan[rows_ar, pick])
+        req_mis.append(amis[rows_ar, pick])
 
-    def _reduce_vc(self, group: _GroupTables, rows, free, gchan, escape: bool):
-        """Collapse (direction, vc) pair columns to direction-level
-        columns in dense (dim, sign) order.
+    def _direction_columns(
+        self, group: _GroupTables, rows, free, gchan, escape: bool
+    ) -> tuple:
+        """``(free, gchan, mis)`` with one column per direction in
+        dense (dim, sign) order — the ``sorted(options)`` view every
+        selection policy consumes.
 
-        The engine's arbitration deduplicates the free pairs to a
-        direction list for the selection policy, then grants the *first*
-        free pair of the chosen direction (the algorithm's VC preference
-        order — which the VC LUT columns preserve).  Reduced column
-        ``d-1`` is therefore free iff direction ``d`` has a free pair,
-        and carries that first pair's runtime channel and misroute flag.
-        Every selection policy consumes ``sorted(options)``, which is
-        exactly the reduced (dim, sign) column order — so the reduced
-        matrices feed the single-VC policy kernels unchanged.
+        One VC: the LUT columns already are that view.  More VCs: the
+        engine's arbitration deduplicates the free pairs to a direction
+        list for the selection policy, then grants the *first* free pair
+        of the chosen direction (the algorithm's VC preference order —
+        which the stable LUT sort preserves).  Reduced column ``d-1`` is
+        therefore free iff direction ``d`` has a free pair, and carries
+        that first pair's runtime channel and misroute flag.
         """
-        dirk = (group.edirk if escape else group.cdirk)[rows]
         mism = (group.emis if escape else group.cmis)[rows]
+        if group.num_vc == 1:
+            return free, gchan, mism
+        dirk = (group.edirk if escape else group.cdirk)[rows]
         nd = group.num_dirs
         n = free.shape[0]
         ar = np.arange(n)
@@ -2264,7 +2211,6 @@ class _BatchCore:
         group = self.groups[int(self.f_group[member.fidx])]
         ch_off = member.ch_off
         node_off = member.node_off
-        span = group.num_dirs + 1
         dead = self.ch_dead
         for slot in waits:
             slot = int(slot)
@@ -2275,15 +2221,17 @@ class _BatchCore:
                 if holder >= 0 and holder != slot:
                     graph.add_edge(slot, holder)
                 continue
-            row = (
-                int(self.pk_head_node[slot]) * group.N
-                + int(self.pk_dst[slot])
-            ) * span + int(self.pk_head_dir[slot])
-            if group.num_vc > 1:
-                # The wait-for graph watches the minimal (direction, vc)
-                # pairs for the header's arrival VC class, in candidate
-                # order — the same rows arbitration reads.
-                row = row * group.num_vc + int(self.pk_head_vc[slot])
+            # The wait-for graph watches the minimal (direction, vc)
+            # pairs for the header's arrival VC class — the same rows
+            # arbitration reads.
+            row = int(
+                group.row_of(
+                    self.pk_head_node[slot],
+                    self.pk_dst[slot],
+                    self.pk_head_dir[slot],
+                    self.pk_head_vc[slot],
+                )
+            )
             group.ensure_rows(np.asarray([row]), escape=False)
             holders: List[int] = []
             blocked = True
@@ -2375,15 +2323,27 @@ class _BatchCore:
 
     def _fast_cycle(self, cycle: int) -> None:
         """One cycle of the vectorized kernels for every active member:
-        the same stage order as ``WormholeSimulator.run_cycle``."""
+        the same stage order as ``WormholeSimulator.run_cycle``.
+
+        Each kernel pass is closed by a :meth:`_mark`, which charges its
+        wall clock to the profiled members' phase (a no-op without
+        profilers).  Timing never touches a state transition, so
+        profiled runs stay bit-identical.  Routing happens inside the
+        arbitration kernel (LUT gathers), so the ``route`` phase is
+        folded into ``allocate`` on this backend.
+        """
         fast = self.fast
         m_act = self.m_act
+        mark = self._mark
+        t = mark(None, 0.0)
         if self._any_faults:
             for f in np.nonzero(m_act & (self.m_nextfault <= cycle))[0]:
                 self._apply_faults(fast[int(f)], cycle)
+        t = mark("faults", t)
         if self._any_drops:
             for f in np.nonzero(m_act & (self.m_nextretry <= cycle))[0]:
                 fast[int(f)]._pop_retries(cycle)
+        t = mark("retries", t)
         # Generation/injection touch Python only for members whose
         # arrival calendar or injector backlog is due.
         for f in np.nonzero(m_act & (self.m_nextgen <= cycle))[0]:
@@ -2392,66 +2352,35 @@ class _BatchCore:
                 self.m_nextgen[f] = np.inf
             else:
                 member._generate(cycle)
+        t = mark("generate", t)
         for f in np.nonzero(m_act & self.m_pending)[0]:
             fast[int(f)]._inject(cycle)
+        t = mark("inject", t)
         self._refresh_live()
         self._arbitrate_vec(cycle)
+        t = mark("allocate", t)
         self._move_vec(cycle)
+        t = mark("advance", t)
         if self._any_timeout:
             self._watchdog_pass(cycle)
+        t = mark("watchdog", t)
         if self._any_collect:
             self._collect_pass(cycle)
+        mark("collect", t)
 
-    def _mark(self, phase: str, start: float) -> float:
+    def _mark(self, phase: Optional[str], start: float) -> float:
         """Charge ``now - start`` to ``phase`` on every profiled fast
-        member and return ``now`` (the next phase's start)."""
+        member and return ``now`` (the next phase's start); ``phase=None``
+        only reads the clock.  Returns at once when nothing is profiled."""
+        profilers = self._fast_profilers
+        if not profilers:
+            return start
         now = time.perf_counter()
-        dt = now - start
-        for prof in self._fast_profilers:
-            prof.add(phase, dt)
+        if phase is not None:
+            dt = now - start
+            for prof in profilers:
+                prof.add(phase, dt)
         return now
-
-    def _fast_cycle_profiled(self, cycle: int) -> None:
-        """``_fast_cycle`` with per-phase wall-clock accounting.
-
-        Identical stage order and state transitions — the profiler only
-        observes ``time.perf_counter`` around each kernel pass, so
-        profiled runs stay bit-identical.  Routing happens inside the
-        arbitration kernel (LUT gathers), so the ``route`` phase is
-        folded into ``allocate`` on this backend.
-        """
-        fast = self.fast
-        m_act = self.m_act
-        t = time.perf_counter()
-        if self._any_faults:
-            for f in np.nonzero(m_act & (self.m_nextfault <= cycle))[0]:
-                self._apply_faults(fast[int(f)], cycle)
-        t = self._mark("faults", t)
-        if self._any_drops:
-            for f in np.nonzero(m_act & (self.m_nextretry <= cycle))[0]:
-                fast[int(f)]._pop_retries(cycle)
-        t = self._mark("retries", t)
-        for f in np.nonzero(m_act & (self.m_nextgen <= cycle))[0]:
-            member = fast[int(f)]
-            if cycle >= member.config.generation_cycles:
-                self.m_nextgen[f] = np.inf
-            else:
-                member._generate(cycle)
-        t = self._mark("generate", t)
-        for f in np.nonzero(m_act & self.m_pending)[0]:
-            fast[int(f)]._inject(cycle)
-        t = self._mark("inject", t)
-        self._refresh_live()
-        self._arbitrate_vec(cycle)
-        t = self._mark("allocate", t)
-        self._move_vec(cycle)
-        t = self._mark("advance", t)
-        if self._any_timeout:
-            self._watchdog_pass(cycle)
-        t = self._mark("watchdog", t)
-        if self._any_collect:
-            self._collect_pass(cycle)
-        self._mark("collect", t)
 
     def run(self) -> List[SimulationResult]:
         members = self.members
@@ -2459,11 +2388,6 @@ class _BatchCore:
         scalars = [m for m in members if not m.fast]
         max_total = max(m.total for m in members)
         m_act = self.m_act
-        fast_cycle = (
-            self._fast_cycle_profiled
-            if self._fast_profilers
-            else self._fast_cycle
-        )
         for cycle in range(max_total):
             running = 0
             for member in scalars:
@@ -2485,7 +2409,7 @@ class _BatchCore:
                         m_act[f] = False
                         self._drop_member_slots(int(f))
             if m_act.any():
-                fast_cycle(cycle)
+                self._fast_cycle(cycle)
                 for f in np.nonzero(m_act & (self.m_next_sample == cycle))[
                     0
                 ]:

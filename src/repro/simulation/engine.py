@@ -341,59 +341,48 @@ class WormholeSimulator:
 
     def _cycle_body(self, cycle: int) -> None:
         """One simulator cycle: faults, retries, then the three stages."""
-        if self._profiler is not None:
-            self._cycle_stages_profiled(cycle)
-        else:
-            self._cycle_stages(cycle)
+        self._cycle_stages(cycle)
         if self._collectors is not None and (
             self.config.warmup_cycles <= cycle < self.config.generation_cycles
         ):
             self._collectors.on_cycle_end(self.waiting)
 
     def _cycle_stages(self, cycle: int) -> None:
+        # Each stage is closed by a ``_mark`` that charges its wall clock
+        # to the phase profiler (a no-op without one); the stage sequence
+        # is the same either way, so profiled runs stay bit-identical.
+        mark = self._mark
+        started = mark(None, 0.0)
         if self._fault_schedule:
             self._apply_faults(cycle)
+            started = mark("faults", started)
         if self._retry_at:
             for packet in self._retry_at.pop(cycle, ()):
                 self._requeue(packet)
+            started = mark("retries", started)
         self._generate(cycle)
+        started = mark("generate", started)
         self._inject(cycle)
+        started = mark("inject", started)
         self._arbitrate(cycle)
+        started = mark("allocate", started)
         self._move(cycle)
+        started = mark("advance", started)
         if self.config.packet_timeout and self.waiting:
             self._check_packet_timeouts(cycle)
+            mark("watchdog", started)
 
-    def _cycle_stages_profiled(self, cycle: int) -> None:
-        """:meth:`_cycle_stages` with a ``perf_counter`` pair around each
-        stage (kept in lockstep with the unprofiled path — the sequence
-        of stage calls must stay identical)."""
+    def _mark(self, phase: Optional[str], started: float) -> float:
+        """Charge ``now - started`` to ``phase`` and return ``now`` (the
+        next stage's start); ``phase=None`` only reads the clock.
+        Returns at once when no profiler is attached."""
         profiler = self._profiler
-        perf = time.perf_counter
-        if self._fault_schedule:
-            started = perf()
-            self._apply_faults(cycle)
-            profiler.add("faults", perf() - started)
-        if self._retry_at:
-            started = perf()
-            for packet in self._retry_at.pop(cycle, ()):
-                self._requeue(packet)
-            profiler.add("retries", perf() - started)
-        started = perf()
-        self._generate(cycle)
-        profiler.add("generate", perf() - started)
-        started = perf()
-        self._inject(cycle)
-        profiler.add("inject", perf() - started)
-        started = perf()
-        self._arbitrate(cycle)
-        profiler.add("allocate", perf() - started)
-        started = perf()
-        self._move(cycle)
-        profiler.add("advance", perf() - started)
-        if self.config.packet_timeout and self.waiting:
-            started = perf()
-            self._check_packet_timeouts(cycle)
-            profiler.add("watchdog", perf() - started)
+        if profiler is None:
+            return started
+        now = time.perf_counter()
+        if phase is not None:
+            profiler.add(phase, now - started)
+        return now
 
     # -- stage 1: generation and injection ------------------------------------
 

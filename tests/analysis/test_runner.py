@@ -1,6 +1,7 @@
 """Tests for the parallel experiment runner and its on-disk cache."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.analysis import (
     run_sweep,
 )
 from repro.analysis.runner import (
+    MAX_TOPOLOGY_NODES,
     make_pattern,
     parse_topology_spec,
     topology_spec,
@@ -56,6 +58,17 @@ class TestSpecs:
     def test_parse_rejects_bad_specs(self):
         for bad in ("mesh", "ring:5", "mesh:ax2", "cube:"):
             with pytest.raises(ValueError):
+                parse_topology_spec(bad)
+
+    def test_parse_rejects_specs_past_the_node_cap(self):
+        assert MAX_TOPOLOGY_NODES == 65_536
+        assert parse_topology_spec("mesh:256x256").num_nodes == 65_536
+        for bad, nodes in (
+            ("mesh:257x256", "65,792"),
+            ("cube:17", "131,072"),
+            ("torus:16x16", "about 2**64"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"names {nodes} ")):
                 parse_topology_spec(bad)
 
     def test_make_pattern_dispatches_transpose(self):

@@ -2,7 +2,8 @@
 the numpy gate (clear error without the optional extra), backend
 dispatch, vectorized-envelope classification, heterogeneous batches,
 LUT-cap demotion to the scalar fallback, the cross-batch routing-table
-cache, and the golden fingerprints on the array backend.
+cache, row-for-row routing LUT contents, and the golden fingerprints on
+the array backend.
 """
 
 import dataclasses
@@ -326,6 +327,108 @@ class TestBatchSimulator:
                 assert sim.demotion_counts == {"lut-cap": 1}
 
 
+LUT_CASES = [
+    ("mesh:4x4", "west-first"),
+    ("torus:4x2", "dateline-dimension-order"),
+    ("mesh:4x4", "escape-vc-adaptive"),
+    ("cube:4", "p-cube"),
+]
+
+
+def routing_table_pairs(table, topology, row, num_vc, escape):
+    """The (direction, vc) pairs a LUT row must hold, straight from the
+    routing table: first-appearance dedup, stable (dim, sign) sort, and
+    only pairs naming a real channel and VC."""
+    dirs = sorted({c.direction for c in topology.channels()})
+    rest, in_vc = divmod(row, num_vc)
+    rest, diridx = divmod(rest, len(dirs) + 1)
+    node, dest = divmod(rest, topology.num_nodes)
+    in_direction = dirs[diridx - 1] if diridx else None
+    if num_vc == 1:
+        query = table.escape_candidates if escape else table.candidates
+        pairs = [(d, 0) for d in query(node, dest, in_direction)]
+    else:
+        query = table.vc_escape_candidates if escape else table.vc_candidates
+        # Pre-injection rows replay the engine's in_vc=None query.
+        in_vc = in_vc if diridx else None
+        pairs = query(node, dest, in_direction, in_vc, num_vc)
+    pairs = sorted(dict.fromkeys(pairs), key=lambda p: (p[0].dim, p[0].sign))
+    exits = {c.direction for c in topology.channels() if c.src == node}
+    return dest, [(d, vc) for d, vc in pairs if d in exits and 0 <= vc < num_vc]
+
+
+@needs_numpy
+class TestRoutingLUT:
+    """Every LUT row, minimal and escape, holds exactly the routing
+    table's answer in the one layout shared by every VC count."""
+
+    @pytest.mark.parametrize("num_vc", [1, 2])
+    @pytest.mark.parametrize("topo_spec,algorithm", LUT_CASES)
+    def test_rows_match_routing_table(self, topo_spec, algorithm, num_vc):
+        import numpy as np
+
+        from repro.routing.table import RoutingTable
+
+        topology = parse_topology_spec(topo_spec)
+        group = ae._GroupTables(
+            make_algorithm(algorithm, topology), topology, num_vc
+        )
+        table = RoutingTable(make_algorithm(algorithm, topology))
+        channels = list(topology.channels())
+        dir_index = {
+            d: i + 1
+            for i, d in enumerate(sorted({c.direction for c in channels}))
+        }
+        assert group.cand.dtype == np.int32
+        assert group.cmis.dtype == group.cdirk.dtype == np.int8
+        rows = np.arange(group.rows)
+        group.ensure_rows(rows, escape=False)
+        assert group.esc is None  # minimal rows never touch escape tables
+        group.ensure_rows(rows, escape=True)
+        for escape in (False, True):
+            cand, cmis, cdirk = (
+                (group.esc, group.emis, group.edirk)
+                if escape
+                else (group.cand, group.cmis, group.cdirk)
+            )
+            for row in range(group.rows):
+                dest, pairs = routing_table_pairs(
+                    table, topology, row, num_vc, escape
+                )
+                n = len(pairs)
+                assert (cand[row, n:] == -1).all()  # -1 padding
+                got = []
+                for j, cid in enumerate(cand[row, :n]):
+                    channel = channels[int(cid) // num_vc]
+                    got.append((channel.direction, int(cid) % num_vc))
+                    assert cdirk[row, j] == dir_index[channel.direction]
+                    assert cmis[row, j] == int(
+                        topology.distance(channel.dst, dest)
+                        >= topology.distance(channel.src, dest)
+                    )
+                assert got == pairs
+
+    def test_cube8_group_memory_and_lazy_escape(self):
+        # The paper's binary 8-cube: int32 ids + int8 flags and no
+        # escape table until an escape row is requested.
+        import numpy as np
+
+        topology = parse_topology_spec("cube:8")
+        group = ae._GroupTables(make_algorithm("p-cube", topology), topology)
+        held = sum(
+            a.nbytes
+            for a in (
+                group.cand, group.cmis, group.cdirk, group.cbuilt,
+                group.ebuilt,
+            )
+        )
+        assert held <= 110 * 2**20
+        assert group.esc is None and group.emis is None
+        assert group.edirk is None
+        group.ensure_rows(np.asarray([0]), escape=True)
+        assert group.esc is not None and group.esc.dtype == np.int32
+
+
 @needs_numpy
 class TestDemotionObservability:
     """Silent fast-path loss is the failure mode the coverage counters
@@ -390,6 +493,32 @@ class TestProfiledRuns:
                       "collect"):
             assert profiler.calls.get(phase, 0) > 0
         assert profiler.total_seconds > 0.0
+
+    def test_phase_calls_per_cycle_on_both_backends(self):
+        # Each engine has one cycle body whose marks record a phase
+        # once per cycle: the event engine only for stages that ran
+        # (no fault schedule, retries or timeout here), the array
+        # backend for every kernel pass.
+        from repro.observability import PhaseProfiler
+
+        a, p, c = build_point()
+        cycles = c.total_cycles
+        event = PhaseProfiler()
+        WormholeSimulator(a, p, c, profiler=event).run()
+        assert {
+            phase: n for phase, n in event.calls.items() if phase != "route"
+        } == dict.fromkeys(("generate", "inject", "allocate", "advance"), cycles)
+        array = PhaseProfiler()
+        ArrayWormholeSimulator(
+            a, p, c.with_backend("array"), profiler=array
+        ).run()
+        assert array.calls == dict.fromkeys(
+            (
+                "faults", "retries", "generate", "inject", "allocate",
+                "advance", "watchdog", "collect",
+            ),
+            cycles,
+        )
 
     def test_profiled_vc_point_stays_identical(self):
         from repro.observability import PhaseProfiler

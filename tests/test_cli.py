@@ -32,6 +32,12 @@ class TestParsers:
             with pytest.raises(SystemExit):
                 parse_topology(bad)
 
+    def test_oversized_topology_is_a_usage_error(self):
+        # A 16-ary 16-cube would exhaust memory minutes into the run;
+        # the CLI refuses it up front, naming the node count.
+        with pytest.raises(SystemExit, match=r"about 2\*\*64 nodes"):
+            main(["simulate", "xy", "--topology", "torus:16x16"])
+
     def test_pattern_transpose_dispatches_on_topology(self):
         mesh_pat = make_pattern("transpose", Mesh2D(4, 4))
         cube_pat = make_pattern("transpose", Hypercube(4))
