@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.plan import FaultPlan
+from ..routing.selection import selection_policy_names
 from ..simulation.config import SimulationConfig
 from ..simulation.metrics import SimulationResult
-from ..simulation.selection import output_policy_names
 from .runner import ParallelSweepRunner, PointSpec, parse_topology_spec
 
 BASELINE_POLICY = "xy"
@@ -286,7 +286,7 @@ def run_selection_comparison(
     config already sets them) so losses resolve instead of timing out.
     """
     policies = list(dict.fromkeys(policies))
-    known = output_policy_names()
+    known = selection_policy_names()
     unknown = sorted(set(policies) - set(known))
     if unknown:
         raise ValueError(

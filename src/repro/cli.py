@@ -92,9 +92,9 @@ from .observability import (
     trace_header,
 )
 from .routing.registry import algorithm_names, make_algorithm
+from .routing.selection import selection_policy_names
 from .simulation.array_engine import make_simulator
 from .simulation.config import BACKENDS, SimulationConfig
-from .simulation.selection import output_policy_names
 from .topology.base import Topology
 from .topology.mesh import Mesh2D
 from .verification import check_connectivity, verify_algorithm
@@ -127,7 +127,7 @@ def cmd_list(args) -> int:
     print("patterns   :", ", ".join(PATTERN_NAMES))
     print("turn models:", ", ".join(sorted(TURN_MODELS)))
     print("figures    :", ", ".join(sorted(FIGURE_HARNESSES)))
-    print("selection  :", ", ".join(output_policy_names()))
+    print("selection  :", ", ".join(selection_policy_names()))
     return 0
 
 
@@ -1091,7 +1091,7 @@ def _add_selection_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--selection",
         default="xy",
-        choices=output_policy_names(),
+        choices=selection_policy_names(),
         help="output-selection policy among the free legal candidates "
         "(default xy, the paper's rule)",
     )

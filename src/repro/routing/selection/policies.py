@@ -72,8 +72,8 @@ class SelectionPolicy:
         packet,
         rng: random.Random,
     ) -> Direction:
-        # Callable with the legacy OutputSelector signature, so the
-        # engine's arbitration loop is policy-agnostic.
+        # Callable as ``policy(options, packet, rng)``, so the engine's
+        # arbitration loop is policy-agnostic.
         return self.select(options, packet, rng)
 
     def __repr__(self) -> str:
@@ -113,6 +113,36 @@ class RoundRobin(SelectionPolicy):
         choice = ordered[self._pointer % len(ordered)]
         self._pointer += 1
         return choice
+
+
+class RandomChoice(SelectionPolicy):
+    """Pick uniformly among the candidates, in the order offered.
+
+    The only policy that draws from the simulator's RNG (one
+    ``randrange`` per decision), so the array backend runs it on its
+    event-engine member path.
+    """
+
+    name = "random"
+
+    def select(self, options, packet, rng):
+        return options[rng.randrange(len(options))]
+
+
+class ZigZag(SelectionPolicy):
+    """Prefer a different dimension than the previous hop (spreads
+    worms diagonally; an ablation alternative), else the static
+    preference."""
+
+    name = "zigzag"
+
+    def select(self, options, packet, rng):
+        arrived = packet.head_direction
+        if arrived is not None:
+            other = [d for d in options if d.dim != arrived.dim]
+            if other:
+                return static_preference(other)
+        return static_preference(options)
 
 
 class MaxFreeCredits(SelectionPolicy):
@@ -202,6 +232,8 @@ class ThresholdReroute(SelectionPolicy):
 SELECTION_POLICIES: Dict[str, Callable[..., SelectionPolicy]] = {
     XYPreference.name: XYPreference,
     RoundRobin.name: RoundRobin,
+    RandomChoice.name: RandomChoice,
+    ZigZag.name: ZigZag,
     MaxFreeCredits.name: MaxFreeCredits,
     ThresholdReroute.name: ThresholdReroute,
 }

@@ -42,7 +42,7 @@ demote either: the one cycle body closes each kernel pass
 (faults/retries/generate/inject/allocate/advance/watchdog/collect) with
 a timing mark that is a no-op when nothing is profiled, around
 unchanged state transitions, so profiled runs stay bit-identical.  Points
-outside the envelope (legacy policies that draw from the RNG, trace
+outside the envelope (the ``random``/``zigzag`` selectors, trace
 sinks, LUTs past the entry cap) fall back to driving a cycle-locked
 :class:`~repro.simulation.engine.WormholeSimulator` member — the same
 code, therefore trivially bit-identical — so the whole configuration
@@ -52,11 +52,15 @@ space is supported and the batch API is uniform.
 loss is visible (``repro sweep/faults/bench --backend array`` print the
 coverage fraction).
 
-Generation and injection stay scalar per member even in the vectorized
-envelope: they are event-driven (arrival calendar) and must replay the
-member's ``random.Random(seed)`` draw sequence exactly.  Both engines
-draw nothing on the hot path of the envelope (none of the vectorized
-policies touch the RNG), so the streams stay aligned.
+Generation, injection, retries and result accounting stay scalar per
+member even in the vectorized envelope: every batch member inherits
+them from :class:`~repro.simulation.source.PacketSource`, the same code
+the event engine runs, so the member replays its ``random.Random(seed)``
+draw sequence exactly.  Both engines draw nothing on the hot path of
+the envelope (none of the vectorized policies touch the RNG), so the
+streams stay aligned.  The core only reads the source state back (the
+arrival heap for ``m_nextgen``, the retry calendar for ``m_nextretry``,
+``pending_nodes`` to choose who injects).
 
 numpy is an optional dependency (``pip install repro[array]``); the
 module imports with numpy absent and every entry point raises a clear
@@ -65,10 +69,8 @@ error instead.
 
 from __future__ import annotations
 
-import heapq
 import time
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 try:  # numpy is the optional `repro[array]` extra
     import numpy as np
@@ -82,6 +84,7 @@ from .config import SimulationConfig
 from .engine import WormholeSimulator
 from .metrics import SimulationResult
 from .packet import Packet
+from .source import PacketSource
 
 #: Arena codes for ``pk_state`` (a packet leaves the arena as ``_DONE``).
 _ROUTING = 0
@@ -109,8 +112,9 @@ _MB_BOTH = _MB_HI1 | 1
 #: Output-selection policies the kernels replay exactly (the LUT columns
 #: are (dim, sign)-sorted and direction-deduped, which is precisely the
 #: ``sorted(options)`` every one of these policies reduces to; none of
-#: them draws from the RNG).  The legacy ``random``/``zigzag`` selectors
-#: stay on the scalar member path.
+#: them draws from the RNG).  The ``random`` selector (which draws) and
+#: ``zigzag`` (which reads the arrival direction) stay on the scalar
+#: member path.
 _POLICY_CODES: Dict[str, int] = {
     "xy": 0,
     "round-robin": 1,
@@ -187,8 +191,8 @@ def demotion_reasons(config: SimulationConfig) -> Tuple[str, ...]:
 
     Empty for points inside the vectorized envelope.  *Every* applicable
     config gate is reported (the scan does not stop at the first one):
-    ``"output-selection"`` for the legacy ``random``/``zigzag``
-    selectors, ``"input-selection"`` for non-``fcfs`` input selection.
+    ``"output-selection"`` for the ``random``/``zigzag`` selectors,
+    ``"input-selection"`` for non-``fcfs`` input selection.
     Runtime-only gates (trace sinks, the LUT entry cap) are appended by
     :class:`BatchSimulator` — also cumulatively — and surface in its
     ``demotion_counts``.  Pure python — callable without numpy
@@ -208,9 +212,9 @@ def vectorized_envelope(config: SimulationConfig) -> bool:
     Since the envelope widening (fault plans, selection policies,
     watchdogs/retries, collectors, and multi-VC operation — dateline
     classes and escape channels included — are all vectorized now) only
-    two config gates remain: a legacy output-selection policy
-    (``random``/``zigzag`` — they draw from the RNG mid-arbitration) or
-    a non-``fcfs`` input selection.  Outside the envelope the array
+    two config gates remain: the ``random``/``zigzag`` output selectors
+    (``random`` draws from the RNG mid-arbitration) or a non-``fcfs``
+    input selection.  Outside the envelope the array
     backend still accepts the point but drives it through a cycle-locked
     event-engine member (bit-identical by construction; see the module
     docstring and docs/SIMULATOR.md).
@@ -279,7 +283,7 @@ class _GroupTables:
     read as the pair ``(d, 0)``) and the columns already *are* that
     view.  Invalid pairs (no such physical channel at a mesh edge,
     or ``vc`` out of range) are skipped exactly like the engine's
-    ``_vc_pairs``; padding is -1.  The escape tables (``esc``/``emis``/
+    ``_channel_pairs``; padding is -1.  The escape tables (``esc``/``emis``/
     ``edirk``) allocate on the first escape-row request — minimal
     algorithms and many VC groups never exhaust their minimal
     candidates.  A ``cube:8`` p-cube group (1.1M rows x 16 columns)
@@ -422,14 +426,15 @@ def _shared_group(algorithm, topology, num_vc: int = 1) -> "_GroupTables":
     return group
 
 
-class _FastMember:
+class _FastMember(PacketSource):
     """One vectorized-envelope operating point inside a batch.
 
-    Owns the scalar per-member state (RNG, arrival calendar, source
-    queues, injection ports, fault/retry schedules, result accounting)
-    — a faithful port of the event engine's generation/injection/fault
-    stages — while arbitration and movement for its worms run inside
-    the core's shared numpy kernels.
+    Generation, source queues, injection ports, retries and the result
+    accounting are inherited from
+    :class:`~repro.simulation.source.PacketSource` (the same code the
+    event engine runs); arbitration and movement for its worms run
+    inside the core's shared numpy kernels.  The hooks below translate
+    between a packet's arena slot and that shared layer.
     """
 
     fast = True
@@ -438,53 +443,28 @@ class _FastMember:
         self, core: "_BatchCore", fidx: int, algorithm, pattern,
         config: SimulationConfig, profiler=None,
     ) -> None:
-        import random
-
+        super().__init__(algorithm, pattern, config)
         self.core = core
         self.fidx = fidx
-        self.algorithm = algorithm
-        self.pattern = pattern
-        self.config = config
         self.profiler = profiler
-        self.topology = algorithm.topology
-        self.rng = random.Random(config.seed)
         self.num_vc = config.virtual_channels
         # The arena is runtime-channel granular: one lane per
         # (physical channel, vc), matching the event engine's channel
         # numbering ``physical_index * num_vc + vc``.
-        self.num_ch = len(self.core_channels()) * self.num_vc
+        self.num_ch = self.topology.num_channels() * self.num_vc
         self.total = config.total_cycles
         self.frozen = False
         self.inflight = 0
         self._last_cycle = 0
-        self._next_pid = 0
-        self._backlog = 0
 
-        self.queues: List[Deque[Packet]] = [
-            deque() for _ in range(self.topology.num_nodes)
-        ]
-        self.injection_busy: List[int] = [-1] * self.topology.num_nodes
-        self.pending_nodes: set = set()
-        self.sources = list(pattern.active_sources(self.topology))
-        self.next_arrival: Dict[int, float] = {}
-        self._arrival_heap: List[Tuple[float, int]] = []
-        rate = config.messages_per_cycle
-        if rate > 0:
-            for index, node in enumerate(self.sources):
-                when = self.rng.expovariate(rate)
-                self.next_arrival[node] = when
-                self._arrival_heap.append((when, index))
-            heapq.heapify(self._arrival_heap)
-
-        # Fault state (the scalar twin of the core's ``ch_dead`` mask —
-        # the sets replay FaultState's exact add/discard sequence) and
-        # the retry calendar, both empty for fault-free members.
+        # Fault state: the scalar twin of the core's ``ch_dead`` mask
+        # (``dead_routers`` comes from PacketSource), replaying
+        # FaultState's exact add/discard sequence; empty for fault-free
+        # members.
         self.fault_schedule: Dict[int, list] = (
             {} if config.fault_plan.is_empty else config.fault_plan.schedule()
         )
-        self.dead_routers: set = set()
         self.dead_channels: set = set()
-        self._retry_at: Dict[int, List[Packet]] = {}
         self._lat_hist: Dict[int, int] = {}
         self._series_buckets: List[List[int]] = []
 
@@ -492,129 +472,8 @@ class _FastMember:
         self.ch_off = 0
         self.node_off = 0
 
-        self.result = SimulationResult(
-            algorithm=algorithm.name,
-            pattern=getattr(pattern, "name", type(pattern).__name__),
-            offered_load=config.offered_load,
-            num_nodes=self.topology.num_nodes,
-            active_sources=len(self.sources),
-            measure_cycles=config.measure_cycles,
-            cycle_time_us=config.cycle_time_us,
-        )
-
-    def core_channels(self) -> list:
-        return list(self.topology.channels())
-
-    # -- generation / injection (scalar, RNG-exact engine ports) ------------
-
-    def _generate(self, cycle: int) -> None:
-        heap = self._arrival_heap
-        if not heap or heap[0][0] > cycle:
-            return
-        if cycle >= self.config.generation_cycles:
-            return
-        pop = heapq.heappop
-        due = [pop(heap)]
-        while heap and heap[0][0] <= cycle:
-            due.append(pop(heap))
-        if len(due) > 1:
-            due.sort(key=lambda item: item[1])
-        config = self.config
-        rate = config.messages_per_cycle
-        lengths = config.message_lengths
-        num_lengths = len(lengths)
-        max_queue = config.max_queue_per_node
-        rng = self.rng
-        expovariate = rng.expovariate
-        randrange = rng.randrange
-        pattern_dest = self.pattern.dest
-        queues = self.queues
-        sources = self.sources
-        next_arrival = self.next_arrival
-        push = heapq.heappush
-        dead_routers = self.dead_routers
-        for when, index in due:
-            node = sources[index]
-            while when <= cycle:
-                when += expovariate(rate)
-                if node in dead_routers:
-                    continue  # a dead router offers no traffic
-                if len(queues[node]) >= max_queue:
-                    continue
-                dst = pattern_dest(node, rng)
-                if dst is None or dst == node:
-                    continue
-                length = lengths[randrange(num_lengths)]
-                self._enqueue(Packet(self._next_pid, node, dst, length, cycle))
-                self._next_pid += 1
-            next_arrival[node] = when
-            push(heap, (when, index))
-        self.core.m_nextgen[self.fidx] = (
-            heap[0][0] if heap else float("inf")
-        )
-
-    def _enqueue(self, packet: Packet) -> None:
-        node = packet.src
-        self.queues[node].append(packet)
-        self._backlog += 1
-        if packet.created >= self.config.warmup_cycles:
-            self.result.generated_packets += 1
-        if self.injection_busy[node] < 0:
-            self.pending_nodes.add(node)
-            self.core.m_pending[self.fidx] = True
-
-    def _inject(self, cycle: int) -> None:
-        dead_routers = self.dead_routers
-        for node in list(self.pending_nodes):
-            queue = self.queues[node]
-            if not queue or self.injection_busy[node] >= 0:
-                self.pending_nodes.discard(node)
-                continue
-            if node in dead_routers:
-                # A dead router cannot inject; its queue waits for a heal.
-                self.pending_nodes.discard(node)
-                continue
-            packet = queue.popleft()
-            self._backlog -= 1
-            if packet.dst in dead_routers:
-                # Drop at the source instead of wasting network resources
-                # on an unreachable destination (it may heal before a
-                # retry, so retries still apply).
-                self._finish_drop(
-                    packet.src, packet.dst, packet.length, packet.created,
-                    packet.attempt, cycle, "dead-destination",
-                )
-                if not queue:
-                    self.pending_nodes.discard(node)
-                continue
-            slot = self.core._alloc_slot(self, packet, cycle)
-            self.injection_busy[node] = slot
-            self.pending_nodes.discard(node)
-        self.core.m_pending[self.fidx] = bool(self.pending_nodes)
-
-    def _release_injection(self, slot: int) -> None:
-        node = int(self.core.pk_src[slot])
-        self.injection_busy[node] = -1
-        if self.queues[node]:
-            self.pending_nodes.add(node)
-            self.core.m_pending[self.fidx] = True
-
-    # -- retries / drops / kills (scalar engine ports) -----------------------
-
-    def _requeue(self, packet: Packet) -> None:
-        node = packet.src
-        self.queues[node].append(packet)
-        self._backlog += 1
-        if self.injection_busy[node] < 0:
-            self.pending_nodes.add(node)
-            self.core.m_pending[self.fidx] = True
-
-    def _pop_retries(self, cycle: int) -> None:
-        for packet in self._retry_at.pop(cycle, ()):
-            self._requeue(packet)
-        self.core.m_nextretry[self.fidx] = (
-            min(self._retry_at) if self._retry_at else _NEVER
-        )
+    def _launch(self, packet: Packet, cycle: int) -> int:
+        return self.core._alloc_slot(self, packet, cycle)
 
     def _kill(self, slot: int, cycle: int, cause: str, killed: bool = True) -> None:
         """Remove an in-flight worm: release every held resource, then
@@ -639,7 +498,7 @@ class _FastMember:
         core.pk_head_ch[slot] = -1
         src = int(core.pk_src[slot])
         if self.injection_busy[src] == slot:
-            self._release_injection(slot)
+            self._release_injection(src)
         dst = int(core.pk_dst[slot])
         if core.ej_owner[self.node_off + dst] == slot:
             core.ej_owner[self.node_off + dst] = -1
@@ -649,43 +508,22 @@ class _FastMember:
         core._live_dirty = True
         self.inflight -= 1
         core.m_inflight[fidx] -= 1
-        self._finish_drop(
-            src, dst, int(core.pk_len[slot]), int(core.pk_created[slot]),
-            int(core.pk_attempt[slot]), cycle, cause, killed=killed,
+        # The accounting reads only the packet's identity fields.
+        packet = Packet(
+            int(core.pk_pid[slot]), src, dst, int(core.pk_len[slot]),
+            int(core.pk_created[slot]),
         )
+        packet.attempt = int(core.pk_attempt[slot])
+        self._finish_drop(packet, cycle, cause, killed=killed)
 
     def _finish_drop(
-        self, src: int, dst: int, length: int, created: int, attempt: int,
-        cycle: int, cause: str, killed: bool = False,
+        self, packet: Packet, cycle: int, cause: str, killed: bool = False
     ) -> None:
-        """Account one drop event; retry from the source if allowed."""
         core = self.core
         core.m_lastprog[self.fidx] = cycle  # freed resources are progress
-        config = self.config
-        result = self.result
-        measured = created >= config.warmup_cycles
-        if measured:
-            if killed:
-                result.killed_packets += 1
-            result.drops_by_cause[cause] = (
-                result.drops_by_cause.get(cause, 0) + 1
-            )
-        if attempt < config.max_retries:
-            delay = min(
-                config.retry_backoff_base << attempt,
-                config.retry_backoff_cap,
-            )
-            retry = Packet(self._next_pid, src, dst, length, created)
-            self._next_pid += 1
-            retry.attempt = attempt + 1
-            due = cycle + delay
-            self._retry_at.setdefault(due, []).append(retry)
-            if due < core.m_nextretry[self.fidx]:
-                core.m_nextretry[self.fidx] = due
-            if measured:
-                result.retried_packets += 1
-        elif measured:
-            result.dropped_packets += 1
+        due = self._account_drop(packet, cycle, cause, killed)
+        if due is not None and due < core.m_nextretry[self.fidx]:
+            core.m_nextretry[self.fidx] = due
 
     def _deliver(self, slot: int, cycle: int) -> None:
         core = self.core
@@ -694,26 +532,14 @@ class _FastMember:
         core._live_dirty = True
         self.inflight -= 1
         core.m_inflight[self.fidx] -= 1
-        created = int(core.pk_created[slot])
-        if created >= self.config.warmup_cycles:
-            result = self.result
-            length = int(core.pk_len[slot])
-            result.delivered_packets += 1
-            result.delivered_flits += length
-            result.total_latency_cycles += cycle - created
-            injected = int(core.pk_injected[slot])
-            result.total_net_latency_cycles += cycle - (
-                injected if injected >= 0 else created
-            )
-            result.total_hops += int(core.pk_hops[slot])
-            result.total_misroutes += int(core.pk_mis[slot])
-            result.latency_by_length.setdefault(length, []).append(
-                cycle - created
-            )
-            if self.config.collect_latency_histogram:
-                hist = self._lat_hist
-                latency = cycle - created
-                hist[latency] = hist.get(latency, 0) + 1
+        latency = self._account_delivery(
+            cycle, int(core.pk_len[slot]), int(core.pk_created[slot]),
+            int(core.pk_injected[slot]), int(core.pk_hops[slot]),
+            int(core.pk_mis[slot]),
+        )
+        if latency is not None and self.config.collect_latency_histogram:
+            hist = self._lat_hist
+            hist[latency] = hist.get(latency, 0) + 1
 
 
 class _ScalarMember:
@@ -967,7 +793,6 @@ class _BatchCore:
         )
         self.m_next_sample = self.f_warmup.copy()
         self.m_act = np.ones(nfast, dtype=bool)
-        self.m_pending = np.zeros(nfast, dtype=bool)
         self.m_nextgen = np.asarray(
             [
                 m._arrival_heap[0][0] if m._arrival_heap else np.inf
@@ -1195,13 +1020,7 @@ class _BatchCore:
                     self._kill_router_worms(member, node, cycle)
                     member.pending_nodes.discard(node)
                 else:
-                    member.dead_routers.discard(node)
-                    if (
-                        member.queues[node]
-                        and member.injection_busy[node] < 0
-                    ):
-                        member.pending_nodes.add(node)
-                        self.m_pending[fidx] = True
+                    member._router_healed(node)
         self._recompute_dead(member)
         # The engine's ``_wake_all``: un-park every header of this
         # member — candidate masks changed under it.
@@ -1864,7 +1683,9 @@ class _BatchCore:
             else:
                 ls = np.sort(ls)
             for slot in ls:
-                self.fast[int(self.pk_sim[slot])]._release_injection(int(slot))
+                self.fast[int(self.pk_sim[slot])]._release_injection(
+                    int(self.pk_src[slot])
+                )
         if act.any():
             # Duplicate member hits assign the same value — no reduction
             # needed, so skip the np.unique pass.
@@ -2342,19 +2163,27 @@ class _BatchCore:
         t = mark("faults", t)
         if self._any_drops:
             for f in np.nonzero(m_act & (self.m_nextretry <= cycle))[0]:
-                fast[int(f)]._pop_retries(cycle)
+                member = fast[int(f)]
+                member._pop_retries(cycle)
+                retry_at = member._retry_at
+                self.m_nextretry[f] = min(retry_at) if retry_at else _NEVER
         t = mark("retries", t)
         # Generation/injection touch Python only for members whose
         # arrival calendar or injector backlog is due.
         for f in np.nonzero(m_act & (self.m_nextgen <= cycle))[0]:
             member = fast[int(f)]
-            if cycle >= member.config.generation_cycles:
-                self.m_nextgen[f] = np.inf
-            else:
-                member._generate(cycle)
+            member._generate(cycle)
+            heap = member._arrival_heap
+            # Past the generation window nothing is ever due again.
+            self.m_nextgen[f] = (
+                heap[0][0]
+                if heap and cycle < member.config.generation_cycles
+                else np.inf
+            )
         t = mark("generate", t)
-        for f in np.nonzero(m_act & self.m_pending)[0]:
-            fast[int(f)]._inject(cycle)
+        for member in fast:
+            if member.pending_nodes and not member.frozen:
+                member._inject(cycle)
         t = mark("inject", t)
         self._refresh_live()
         self._arbitrate_vec(cycle)

@@ -77,7 +77,7 @@ class SimulationConfig:
     output_selection: str = "xy"
     """Choice among multiple available output channels (paper: the
     channel along the lowest dimension).  Any name from
-    :func:`repro.simulation.selection.output_policy_names`, including
+    :func:`repro.routing.selection.selection_policy_names`, including
     the congestion-aware policies of :mod:`repro.routing.selection`
     (see docs/SELECTION.md)."""
 
@@ -187,12 +187,13 @@ class SimulationConfig:
             raise ValueError("selection_threshold must be non-negative")
         # Deferred import: config loads before the selection module
         # inside the simulation package's own import sequence.
-        from .selection import input_policy_names, output_policy_names
+        from ..routing.selection.policies import selection_policy_names
+        from .selection import input_policy_names
 
-        if self.output_selection not in output_policy_names():
+        if self.output_selection not in selection_policy_names():
             raise ValueError(
                 f"unknown output_selection {self.output_selection!r}; "
-                f"known: {output_policy_names()}"
+                f"known: {selection_policy_names()}"
             )
         if self.input_selection not in input_policy_names():
             raise ValueError(

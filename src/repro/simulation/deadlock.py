@@ -58,28 +58,18 @@ def build_wait_for_graph(sim: WormholeSimulator) -> DiGraph:
             if holder is not None and holder is not packet:
                 graph.add_edge(packet, holder)
             continue
-        if sim.num_vc == 1:
-            wanted = [
-                (direction, 0)
-                for direction in sim.algorithm.candidates(
-                    packet.head_node, packet.dst, packet.head_direction
-                )
-            ]
-        else:
-            wanted = sim.algorithm.vc_candidates(
-                packet.head_node,
-                packet.dst,
-                packet.head_direction,
-                packet.head_vc,
-                sim.num_vc,
-            )
+        wanted = sim._channel_pairs(
+            sim.algorithm,
+            packet.head_node,
+            packet.dst,
+            packet.head_direction,
+            packet.head_vc,
+            False,
+        )
         holders = []
         blocked = True
-        for direction, vc in wanted:
-            base = sim.channel_ids.get((packet.head_node, direction))
-            if base is None or not 0 <= vc < sim.num_vc:
-                continue
-            holder = sim.channel_alloc[base + vc]
+        for _, cid in wanted:
+            holder = sim.channel_alloc[cid]
             if holder is None:
                 blocked = False
                 break

@@ -78,11 +78,8 @@ golden-fingerprint tests pin this down bit-for-bit).
 
 from __future__ import annotations
 
-import heapq
-import random
 import time
-from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..faults.plan import CHANNEL_FAULT, FAIL
 from ..faults.routing import FaultAwareRouting
@@ -102,15 +99,19 @@ from ..observability.events import (
 from ..routing.base import RoutingAlgorithm
 from ..routing.selection.congestion import EngineCongestionView
 from ..routing.table import RoutingTable
-from ..topology.base import Topology
 from .config import SimulationConfig
 from .metrics import SimulationResult
 from .packet import ChannelHold, Packet, PacketState
 from .selection import get_input_policy, make_output_policy
+from .source import PacketSource
 
 
-class WormholeSimulator:
+class WormholeSimulator(PacketSource):
     """Simulates one (algorithm, traffic pattern, load) operating point.
+
+    Generation, source queues, injection ports, retries and the result
+    accounting are inherited from
+    :class:`~repro.simulation.source.PacketSource`.
 
     ``reference=True`` selects the scan-based generation and routing
     code paths (no arrival calendar, no routing-table memo, no wakeup
@@ -128,11 +129,7 @@ class WormholeSimulator:
         profiler=None,
         reference: bool = False,
     ) -> None:
-        self.algorithm = algorithm
-        self.pattern = pattern
-        self.config = config
-        self.topology: Topology = algorithm.topology
-        self.rng = random.Random(config.seed)
+        super().__init__(algorithm, pattern, config)
         self.output_policy = make_output_policy(config)
         self.input_policy = get_input_policy(config.input_selection)
 
@@ -151,39 +148,17 @@ class WormholeSimulator:
         }
         self.channel_alloc: List[Optional[Packet]] = [None] * len(self.channels)
         self.ejection_alloc: List[Optional[Packet]] = [None] * self.topology.num_nodes
-        self.injection_busy: List[Optional[Packet]] = [None] * self.topology.num_nodes
-
-        self.queues: List[Deque[Packet]] = [
-            deque() for _ in range(self.topology.num_nodes)
-        ]
-        self.sources = list(pattern.active_sources(self.topology))
-        # The arrival calendar: a heap of (next arrival time, source
-        # index) so a cycle with no due source costs one peek.  The
-        # ``next_arrival`` dict mirrors the heap for introspection and
-        # for the reference (scan-based) generator.
-        self.next_arrival: Dict[int, float] = {}
-        self._arrival_heap: List[Tuple[float, int]] = []
-        rate = config.messages_per_cycle
-        if rate > 0:
-            for index, node in enumerate(self.sources):
-                when = self.rng.expovariate(rate)
-                self.next_arrival[node] = when
-                self._arrival_heap.append((when, index))
-            heapq.heapify(self._arrival_heap)
 
         # Insertion-ordered (dicts) so runs are exactly reproducible even
         # under randomised selection policies.
         self.waiting: Dict[Packet, None] = {}  # headers needing arbitration
         self.active: Dict[Packet, None] = {}  # worms with flits in the network
         self.dormant: Set[Packet] = set()  # fully blocked worms
-        self.pending_nodes: Set[int] = set()  # nonempty queue, injector free
 
         self.cycle = 0
         self.last_progress = 0
         self._last_cycle = 0  # last cycle whose bookkeeping ran
         self._link_blocked = False
-        self._next_pid = 0
-        self._backlog = 0  # queued packets network-wide
         self.channel_load = (
             [0] * len(self.channels) if config.track_channel_load else None
         )
@@ -196,9 +171,9 @@ class WormholeSimulator:
         self._fault_schedule: Dict[int, list] = {}
         if not config.fault_plan.is_empty:
             self.fault_state = FaultState(self.topology)
+            self.dead_routers = self.fault_state.dead_routers
             self._fault_schedule = config.fault_plan.schedule()
             self.algorithm = FaultAwareRouting(algorithm, self.fault_state)
-        self._retry_at: Dict[int, List[Packet]] = {}  # cycle -> retries due
 
         # Congestion-aware output selection: bind the engine-backed
         # view only when the configured policy asks for it, so the
@@ -267,16 +242,6 @@ class WormholeSimulator:
                 return out
 
             self._candidate_channels = timed_candidates  # type: ignore[method-assign]
-
-        self.result = SimulationResult(
-            algorithm=algorithm.name,
-            pattern=getattr(pattern, "name", type(pattern).__name__),
-            offered_load=config.offered_load,
-            num_nodes=self.topology.num_nodes,
-            active_sources=len(self.sources),
-            measure_cycles=config.measure_cycles,
-            cycle_time_us=config.cycle_time_us,
-        )
 
     # -- public API ----------------------------------------------------------
 
@@ -357,8 +322,7 @@ class WormholeSimulator:
             self._apply_faults(cycle)
             started = mark("faults", started)
         if self._retry_at:
-            for packet in self._retry_at.pop(cycle, ()):
-                self._requeue(packet)
+            self._pop_retries(cycle)
             started = mark("retries", started)
         self._generate(cycle)
         started = mark("generate", started)
@@ -386,59 +350,6 @@ class WormholeSimulator:
 
     # -- stage 1: generation and injection ------------------------------------
 
-    def _generate(self, cycle: int) -> None:
-        """Arrival-calendar generation: drain the heap of due sources.
-
-        Bit-identical to :meth:`_generate_reference`: sources whose next
-        arrival lies in the future draw nothing there too, and the due
-        sources are processed in source-list order, so the shared RNG
-        sees exactly the same draw sequence."""
-        heap = self._arrival_heap
-        if not heap or heap[0][0] > cycle:
-            return  # no source due this cycle: one peek and done
-        if cycle >= self.config.generation_cycles:
-            return  # drain window: let in-flight traffic finish
-        pop = heapq.heappop
-        due = [pop(heap)]
-        while heap and heap[0][0] <= cycle:
-            due.append(pop(heap))
-        if len(due) > 1:
-            # The heap yields time order; the RNG contract is source-list
-            # order (the order the scan-based generator visits them).
-            due.sort(key=lambda item: item[1])
-        config = self.config
-        rate = config.messages_per_cycle
-        lengths = config.message_lengths
-        num_lengths = len(lengths)
-        max_queue = config.max_queue_per_node
-        rng = self.rng
-        expovariate = rng.expovariate
-        randrange = rng.randrange
-        pattern_dest = self.pattern.dest
-        queues = self.queues
-        sources = self.sources
-        next_arrival = self.next_arrival
-        push = heapq.heappush
-        dead_routers = (
-            self.fault_state.dead_routers if self.fault_state is not None else ()
-        )
-        for when, index in due:
-            node = sources[index]
-            while when <= cycle:
-                when += expovariate(rate)
-                if node in dead_routers:
-                    continue  # a dead router offers no traffic
-                if len(queues[node]) >= max_queue:
-                    continue
-                dst = pattern_dest(node, rng)
-                if dst is None or dst == node:
-                    continue
-                length = lengths[randrange(num_lengths)]
-                self._enqueue(Packet(self._next_pid, node, dst, length, cycle))
-                self._next_pid += 1
-            next_arrival[node] = when
-            push(heap, (when, index))
-
     def _generate_reference(self, cycle: int) -> None:
         """The scan-based generator: visit every source, every cycle
         (the pre-calendar hot path, kept for the equivalence suite)."""
@@ -448,9 +359,7 @@ class WormholeSimulator:
             return  # drain window: let in-flight traffic finish
         rate = self.config.messages_per_cycle
         lengths = self.config.message_lengths
-        dead_routers = (
-            self.fault_state.dead_routers if self.fault_state is not None else ()
-        )
+        dead_routers = self.dead_routers
         for node in self.sources:
             when = self.next_arrival[node]
             while when <= cycle:
@@ -467,21 +376,16 @@ class WormholeSimulator:
                 self._next_pid += 1
             self.next_arrival[node] = when
 
-    def _enqueue(self, packet: Packet) -> None:
-        """Queue a message at its source processor (public for tests and
-        for scripted workloads such as the deadlock demonstrations)."""
-        node = packet.src
-        self.queues[node].append(packet)
-        self._backlog += 1
-        if packet.created >= self.config.warmup_cycles:
-            self.result.generated_packets += 1
-        if self.injection_busy[node] is None:
-            self.pending_nodes.add(node)
-
     def inject_packet(
         self, src: int, dst: int, length: int, created: Optional[int] = None
     ) -> Packet:
         """Create and queue one message explicitly (scripted workloads)."""
+        num_nodes = self.topology.num_nodes
+        for name, node in (("src", src), ("dst", dst)):
+            if not 0 <= node < num_nodes:
+                raise ValueError(
+                    f"{name} node {node} out of range [0, {num_nodes})"
+                )
         if src == dst:
             raise ValueError(
                 "messages to self are consumed locally and never enter the "
@@ -496,116 +400,62 @@ class WormholeSimulator:
         self._enqueue(packet)
         return packet
 
-    def _inject(self, cycle: int) -> None:
-        if not self.pending_nodes:
-            return
-        fault_state = self.fault_state
-        for node in list(self.pending_nodes):
-            queue = self.queues[node]
-            if not queue or self.injection_busy[node] is not None:
-                self.pending_nodes.discard(node)
-                continue
-            if fault_state is not None and node in fault_state.dead_routers:
-                # A dead router cannot inject; its queue waits for a heal.
-                self.pending_nodes.discard(node)
-                continue
-            packet = queue.popleft()
-            self._backlog -= 1
-            if (
-                fault_state is not None
-                and packet.dst in fault_state.dead_routers
-            ):
-                # Drop at the source instead of wasting network resources
-                # on an unreachable destination (it may heal before a
-                # retry, so retries still apply).
-                self._finish_drop(packet, cycle, "dead-destination")
-                if not queue:
-                    self.pending_nodes.discard(node)
-                continue
-            self.injection_busy[node] = packet
-            packet.state = PacketState.ROUTING
-            packet.header_wait_since = cycle
-            self.waiting[packet] = None
-            self.active[packet] = None
-            self.pending_nodes.discard(node)
-            if self._emit is not None:
-                self._emit(
-                    TraceEvent(INJECTED, cycle, pid=packet.pid, node=node)
-                )
+    def _launch(self, packet: Packet, cycle: int) -> Packet:
+        """Put an injected packet's header up for arbitration; the packet
+        itself occupies the injection port until its last flit leaves."""
+        packet.state = PacketState.ROUTING
+        packet.header_wait_since = cycle
+        self.waiting[packet] = None
+        self.active[packet] = None
+        if self._emit is not None:
+            self._emit(
+                TraceEvent(INJECTED, cycle, pid=packet.pid, node=packet.src)
+            )
+        return packet
 
     # -- stage 2: arbitration --------------------------------------------------
 
-    def _route_pairs(self, node: int, dest: int, in_direction) -> tuple:
-        """Memoised ``(direction, runtime channel id)`` pairs for the
-        algorithm's minimal candidates at this routing decision."""
-        per_node = self._pair_cache.get(node)
-        if per_node is None:
-            per_node = self._pair_cache[node] = {}
-        key = (dest, in_direction)
-        pairs = per_node.get(key)
-        if pairs is None:
-            channel_ids = self.channel_ids
-            pairs = per_node[key] = tuple(
-                (d, channel_ids[(node, d)])
-                for d in self.routing_table.candidates(node, dest, in_direction)
-            )
-        return pairs
+    def _channel_pairs(
+        self, source, node: int, dest: int, in_direction, in_vc, escape: bool
+    ) -> List[tuple]:
+        """``(direction, runtime channel id)`` pairs of ``source``'s
+        minimal (or, with ``escape``, misroute) candidates at this
+        routing decision.  ``source`` is the routing algorithm or its
+        :class:`~repro.routing.table.RoutingTable`; with one VC every
+        direction maps to its VC-0 channel."""
+        num_vc = self.num_vc
+        if num_vc == 1:
+            query = source.escape_candidates if escape else source.candidates
+            cands = [(d, 0) for d in query(node, dest, in_direction)]
+        else:
+            query = source.vc_escape_candidates if escape else source.vc_candidates
+            cands = query(node, dest, in_direction, in_vc, num_vc)
+        channel_ids = self.channel_ids
+        out = []
+        for d, vc in cands:
+            base = channel_ids.get((node, d))
+            if base is not None and 0 <= vc < num_vc:
+                out.append((d, base + vc))
+        return out
 
-    def _escape_pairs(self, node: int, dest: int, in_direction) -> tuple:
+    def _pairs(self, node: int, dest: int, in_direction, in_vc, escape: bool) -> tuple:
+        """Memoised :meth:`_channel_pairs` over the routing table."""
         per_node = self._pair_cache.get(node)
         if per_node is None:
             per_node = self._pair_cache[node] = {}
-        key = ("e", dest, in_direction)
+        key = (escape, dest, in_direction, in_vc)
         pairs = per_node.get(key)
         if pairs is None:
-            channel_ids = self.channel_ids
             pairs = per_node[key] = tuple(
-                (d, channel_ids[(node, d)])
-                for d in self.routing_table.escape_candidates(
-                    node, dest, in_direction
+                self._channel_pairs(
+                    self.routing_table, node, dest, in_direction, in_vc, escape
                 )
             )
         return pairs
 
-    def _vc_pairs(self, node: int, dest: int, in_direction, in_vc) -> tuple:
-        per_node = self._pair_cache.get(node)
-        if per_node is None:
-            per_node = self._pair_cache[node] = {}
-        key = ("v", dest, in_direction, in_vc)
-        pairs = per_node.get(key)
-        if pairs is None:
-            num_vc = self.num_vc
-            channel_ids = self.channel_ids
-            built = []
-            for d, vc in self.routing_table.vc_candidates(
-                node, dest, in_direction, in_vc, num_vc
-            ):
-                base = channel_ids.get((node, d))
-                if base is None or not 0 <= vc < num_vc:
-                    continue
-                built.append((d, base + vc))
-            pairs = per_node[key] = tuple(built)
-        return pairs
-
-    def _vc_escape_pairs(self, node: int, dest: int, in_direction, in_vc) -> tuple:
-        per_node = self._pair_cache.get(node)
-        if per_node is None:
-            per_node = self._pair_cache[node] = {}
-        key = ("w", dest, in_direction, in_vc)
-        pairs = per_node.get(key)
-        if pairs is None:
-            num_vc = self.num_vc
-            channel_ids = self.channel_ids
-            built = []
-            for d, vc in self.routing_table.vc_escape_candidates(
-                node, dest, in_direction, in_vc, num_vc
-            ):
-                base = channel_ids.get((node, d))
-                if base is None or not 0 <= vc < num_vc:
-                    continue
-                built.append((d, base + vc))
-            pairs = per_node[key] = tuple(built)
-        return pairs
+    def _filter_free(self, pairs) -> List[tuple]:
+        alloc = self.channel_alloc
+        return [pc for pc in pairs if alloc[pc[1]] is None]
 
     def _candidate_channels(self, packet: Packet) -> List[tuple]:
         """Free (direction, runtime channel id) pairs for this header,
@@ -614,18 +464,11 @@ class WormholeSimulator:
         node = packet.head_node
         dest = packet.dst
         in_direction = packet.head_direction
-        if self.num_vc == 1:
-            pairs = self._route_pairs(node, dest, in_direction)
-            free = [pc for pc in pairs if alloc[pc[1]] is None]
-            if not free and packet.misroutes < self.config.misroute_limit:
-                pairs = self._escape_pairs(node, dest, in_direction)
-                free = [pc for pc in pairs if alloc[pc[1]] is None]
-            return free
         in_vc = packet.head_vc
-        pairs = self._vc_pairs(node, dest, in_direction, in_vc)
+        pairs = self._pairs(node, dest, in_direction, in_vc, False)
         free = [pc for pc in pairs if alloc[pc[1]] is None]
         if not free and packet.misroutes < self.config.misroute_limit:
-            pairs = self._vc_escape_pairs(node, dest, in_direction, in_vc)
+            pairs = self._pairs(node, dest, in_direction, in_vc, True)
             free = [pc for pc in pairs if alloc[pc[1]] is None]
         return free
 
@@ -633,54 +476,12 @@ class WormholeSimulator:
         """Free (direction, runtime channel id) pairs, derived from
         scratch on every call (the pre-table hot path, kept for the
         equivalence suite)."""
-        if self.num_vc == 1:
-            cands = self.algorithm.candidates(
-                packet.head_node, packet.dst, packet.head_direction
-            )
-            free = self._filter_free_single(packet.head_node, cands)
-            if not free and packet.misroutes < self.config.misroute_limit:
-                escapes = self.algorithm.escape_candidates(
-                    packet.head_node, packet.dst, packet.head_direction
-                )
-                free = self._filter_free_single(packet.head_node, escapes)
-            return free
-        pairs = self.algorithm.vc_candidates(
-            packet.head_node,
-            packet.dst,
-            packet.head_direction,
-            packet.head_vc,
-            self.num_vc,
-        )
-        free = self._filter_free_vc(packet.head_node, pairs)
+        args = (packet.head_node, packet.dst, packet.head_direction, packet.head_vc)
+        algorithm = self.algorithm
+        free = self._filter_free(self._channel_pairs(algorithm, *args, False))
         if not free and packet.misroutes < self.config.misroute_limit:
-            escapes = self.algorithm.vc_escape_candidates(
-                packet.head_node,
-                packet.dst,
-                packet.head_direction,
-                packet.head_vc,
-                self.num_vc,
-            )
-            free = self._filter_free_vc(packet.head_node, escapes)
+            free = self._filter_free(self._channel_pairs(algorithm, *args, True))
         return free
-
-    def _filter_free_single(self, node: int, directions) -> List[tuple]:
-        out = []
-        for direction in directions:
-            cid = self.channel_ids[(node, direction)]
-            if self.channel_alloc[cid] is None:
-                out.append((direction, cid))
-        return out
-
-    def _filter_free_vc(self, node: int, pairs) -> List[tuple]:
-        out = []
-        for direction, vc in pairs:
-            base = self.channel_ids.get((node, direction))
-            if base is None or not 0 <= vc < self.num_vc:
-                continue
-            cid = base + vc
-            if self.channel_alloc[cid] is None:
-                out.append((direction, cid))
-        return out
 
     # -- channel-free wakeup sets ---------------------------------------------
 
@@ -692,20 +493,10 @@ class WormholeSimulator:
         A parked header provably has zero free candidates, and its
         candidate set is a pure function of state that cannot change
         while it waits — so skipping its scan is unobservable."""
-        node = packet.head_node
-        dest = packet.dst
-        in_direction = packet.head_direction
-        if self.num_vc == 1:
-            pairs = self._route_pairs(node, dest, in_direction)
-            if packet.misroutes < self.config.misroute_limit:
-                pairs = pairs + self._escape_pairs(node, dest, in_direction)
-        else:
-            in_vc = packet.head_vc
-            pairs = self._vc_pairs(node, dest, in_direction, in_vc)
-            if packet.misroutes < self.config.misroute_limit:
-                pairs = pairs + self._vc_escape_pairs(
-                    node, dest, in_direction, in_vc
-                )
+        args = (packet.head_node, packet.dst, packet.head_direction, packet.head_vc)
+        pairs = self._pairs(*args, False)
+        if packet.misroutes < self.config.misroute_limit:
+            pairs = pairs + self._pairs(*args, True)
         watchers = self._channel_watchers
         for _, cid in pairs:
             ws = watchers.get(cid)
@@ -922,7 +713,7 @@ class WormholeSimulator:
                 if packet.injected is None:
                     packet.injected = cycle
                 if packet.launched == packet.length:
-                    self._release_injection(packet)
+                    self._release_injection(packet.src)
             hold.buffered += 1
             hold.moved += 1
             moved += 1
@@ -965,12 +756,6 @@ class WormholeSimulator:
             moved += 1
         return moved
 
-    def _release_injection(self, packet: Packet) -> None:
-        node = packet.src
-        self.injection_busy[node] = None
-        if self.queues[node]:
-            self.pending_nodes.add(node)
-
     # -- fault injection, per-packet watchdog, and retries ---------------------
 
     def _apply_faults(self, cycle: int) -> None:
@@ -1012,12 +797,8 @@ class WormholeSimulator:
                     self._kill_router_worms(event.node, cycle)
                     self.pending_nodes.discard(event.node)
                 else:
-                    state.heal_router(event.node)
-                    if (
-                        self.queues[event.node]
-                        and self.injection_busy[event.node] is None
-                    ):
-                        self.pending_nodes.add(event.node)
+                    # ``self.dead_routers`` is ``state.dead_routers``.
+                    self._router_healed(event.node)
             for node in self.routing_table.affected_nodes(
                 self.topology, event.node,
                 channel_only=(event.kind == CHANNEL_FAULT),
@@ -1065,7 +846,7 @@ class WormholeSimulator:
                 self._free_channel(hold.channel_id)
         packet.holds.clear()
         if self.injection_busy[packet.src] is packet:
-            self._release_injection(packet)
+            self._release_injection(packet.src)
         if self.ejection_alloc[packet.dst] is packet:
             self._free_ejector(packet.dst)
         self.active.pop(packet, None)
@@ -1103,39 +884,7 @@ class WormholeSimulator:
                     cause=cause,
                 )
             )
-        result = self.result
-        measured = packet.created >= self.config.warmup_cycles
-        if measured:
-            if killed:
-                result.killed_packets += 1
-            result.drops_by_cause[cause] = (
-                result.drops_by_cause.get(cause, 0) + 1
-            )
-        if packet.attempt < self.config.max_retries:
-            delay = min(
-                self.config.retry_backoff_base << packet.attempt,
-                self.config.retry_backoff_cap,
-            )
-            retry = Packet(
-                self._next_pid, packet.src, packet.dst, packet.length,
-                packet.created,
-            )
-            self._next_pid += 1
-            retry.attempt = packet.attempt + 1
-            self._retry_at.setdefault(cycle + delay, []).append(retry)
-            if measured:
-                result.retried_packets += 1
-        elif measured:
-            result.dropped_packets += 1
-
-    def _requeue(self, packet: Packet) -> None:
-        """Put a retry back into its source queue (no generation
-        accounting — the original creation already counted)."""
-        node = packet.src
-        self.queues[node].append(packet)
-        self._backlog += 1
-        if self.injection_busy[node] is None:
-            self.pending_nodes.add(node)
+        self._account_drop(packet, cycle, cause, killed)
 
     def _check_packet_timeouts(self, cycle: int) -> None:
         """The per-packet watchdog: drop headers stalled beyond
@@ -1173,18 +922,9 @@ class WormholeSimulator:
             self._emit(
                 TraceEvent(DELIVERED, cycle, pid=packet.pid, node=packet.dst)
             )
-        if packet.created >= self.config.warmup_cycles:
-            result = self.result
-            result.delivered_packets += 1
-            result.delivered_flits += packet.length
-            result.total_latency_cycles += cycle - packet.created
-            result.total_net_latency_cycles += cycle - (
-                packet.injected if packet.injected is not None else packet.created
-            )
-            result.total_hops += packet.hops
-            result.total_misroutes += packet.misroutes
-            result.latency_by_length.setdefault(packet.length, []).append(
-                cycle - packet.created
-            )
-            if self._collectors is not None:
-                self._collectors.on_delivery(cycle - packet.created)
+        latency = self._account_delivery(
+            cycle, packet.length, packet.created, packet.injected,
+            packet.hops, packet.misroutes,
+        )
+        if latency is not None and self._collectors is not None:
+            self._collectors.on_delivery(latency)

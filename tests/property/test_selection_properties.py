@@ -37,6 +37,7 @@ class ArbitraryView:
 
 class FakePacket:
     head_node = 0
+    head_direction = DIRECTIONS[0]  # zigzag reads the arrival direction
 
 
 @st.composite

@@ -10,10 +10,12 @@ from repro.routing.selection import (
     SELECTION_POLICIES,
     EngineCongestionView,
     MaxFreeCredits,
+    RandomChoice,
     RoundRobin,
     SelectionPolicy,
     ThresholdReroute,
     XYPreference,
+    ZigZag,
     make_selection_policy,
     selection_policy_names,
     static_preference,
@@ -160,10 +162,34 @@ class TestThresholdReroute:
             ThresholdReroute(threshold=-1)
 
 
+class TestRandomChoice:
+    def test_draws_one_randrange_over_the_offered_order(self):
+        options = [NORTH, WEST, EAST]
+        rng, twin = random.Random(5), random.Random(5)
+        for _ in range(20):
+            expected = options[twin.randrange(len(options))]
+            assert RandomChoice()(options, FakePacket(), rng) == expected
+        assert rng.random() == twin.random()  # streams still aligned
+
+
+class TestZigZag:
+    def test_prefers_the_other_dimension(self):
+        packet = FakePacket()
+        packet.head_direction = NORTH
+        assert ZigZag()([NORTH, EAST, SOUTH], packet, RNG) == EAST
+
+    def test_falls_back_to_static_preference(self):
+        packet = FakePacket()
+        packet.head_direction = None  # not yet injected
+        assert ZigZag()([NORTH, EAST], packet, RNG) == EAST
+        packet.head_direction = EAST  # no other dimension on offer
+        assert ZigZag()([WEST, EAST], packet, RNG) == WEST
+
+
 class TestRegistry:
     def test_names(self):
         assert selection_policy_names() == sorted(
-            ["xy", "round-robin", "max-credits", "threshold"]
+            ["xy", "round-robin", "random", "zigzag", "max-credits", "threshold"]
         )
 
     def test_make_returns_fresh_instances(self):

@@ -33,6 +33,16 @@ class TestInjectValidation:
         with pytest.raises(ValueError):
             sim.inject_packet(0, 1, 0)
 
+    @pytest.mark.parametrize(
+        "src, dst", [(-1, 3), (16, 3), (3, -1), (3, 16), (-5, 99)]
+    )
+    def test_out_of_range_nodes_rejected(self, src, dst):
+        sim = quiet_sim()  # mesh:4x4, nodes 0..15
+        with pytest.raises(ValueError, match="out of range"):
+            sim.inject_packet(src, dst, 5)
+        assert not any(sim.queues)  # nothing was queued
+        assert sim._next_pid == 0
+
 
 class TestSingleFlitPackets:
     def test_one_flit_to_neighbor(self):

@@ -207,6 +207,25 @@ class TestFaultEquivalence:
         )
         assert_equivalent("mesh:6x6", "west-first", "uniform", config)
 
+    def test_transient_router_failure_heals(self):
+        # While router 14 is down, traffic addressed to it is dropped at
+        # the source ("dead-destination") and its own queue stops
+        # injecting; the heal at cycle 450 must make that queue
+        # injectable again on every backend.
+        from repro.faults.plan import FaultEvent
+
+        plan = FaultPlan(events=(FaultEvent.router(14, start=200, end=450),))
+        config = SimulationConfig(
+            offered_load=8.0, warmup_cycles=100, measure_cycles=500,
+            seed=6, fault_plan=plan, packet_timeout=250, max_retries=1,
+            drain_cycles=200,
+        )
+        result = build(
+            "mesh:6x6", "west-first", "uniform", config, False
+        ).run()
+        assert result.drops_by_cause.get("dead-destination", 0) > 0
+        assert_equivalent("mesh:6x6", "west-first", "uniform", config)
+
 
 class TestSelectionPolicyEquivalence:
     """The congestion-aware policies read live allocation state and the
