@@ -27,10 +27,10 @@ fault plan + watchdog + retries active — the operating regimes the
 event-driven engine optimisations (routing-table precomputation,
 arrival calendar, channel-free wakeups) target.
 
-Entry points: ``repro bench`` (CLI) and ``scripts/bench_engine.py``
-(CI), both thin wrappers over :func:`run_bench` /
-:func:`compare_reports`.  The committed trajectory lives in
-``BENCH_engine.json`` (see docs/PERFORMANCE.md).
+Entry point: ``repro bench`` (CLI and CI), a thin wrapper over
+:func:`run_bench`, :func:`compare_reports` (``--check-against``) and
+:func:`merge_report` (``--merge-into``).  The committed trajectory
+lives in ``BENCH_engine.json`` (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -701,8 +701,32 @@ def load_report(path: str) -> Dict[str, object]:
 
 
 def write_report(report: BenchReport, path: str) -> None:
+    _write_json(report.to_dict(), path)
+
+
+def merge_report(report: BenchReport, path: str) -> Dict[str, object]:
+    """Fold ``report`` into the report file at ``path`` (in place) and
+    return the result: its points and batch points replace same-id
+    entries and join the rest, which are kept as they are; the run
+    metadata (schema, timestamp, python, platform) and a non-empty label
+    come from ``report``.  This is how one backend's trajectory is
+    re-recorded without re-measuring the other's."""
+    merged = load_report(path)
+    fresh = report.to_dict()
+    merged["points"].update(fresh["points"])
+    if fresh.get("batch_points"):
+        merged.setdefault("batch_points", {}).update(fresh["batch_points"])
+    for key in ("schema", "generated_at", "python", "platform"):
+        merged[key] = fresh[key]
+    if report.label:
+        merged["label"] = report.label
+    _write_json(merged, path)
+    return merged
+
+
+def _write_json(data: Dict[str, object], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

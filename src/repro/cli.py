@@ -2,7 +2,8 @@
 
 Commands:
 
-* ``list`` — available algorithms, patterns, and figures;
+* ``list`` — available algorithms, patterns, figures, and selection
+  policies;
 * ``verify`` — CDG deadlock check + connectivity for an algorithm;
 * ``turns`` — render a named prohibition set (Figures 3/5a/9a/10a);
 * ``simulate`` — one operating point (algorithm, pattern, load);
@@ -16,20 +17,20 @@ Commands:
   routers, hottest channels), and per-direction channel-utilization
   heatmaps (see docs/OBSERVABILITY.md);
 * ``selection`` — compare output-selection policies (xy, round-robin,
-  max-credits, threshold) across algorithms, patterns, and a shared
-  fault plan, with saturation/latency deltas vs the xy baseline (see
-  docs/SELECTION.md);
+  max-credits, threshold, random, zigzag) across algorithms, patterns,
+  and a shared fault plan, with saturation/latency deltas vs the xy
+  baseline (see docs/SELECTION.md);
 * ``saturation`` — batched bisection searches for the maximum
   sustainable load of each (algorithm x pattern) pair;
-* ``bench`` — time the engine on the canonical operating points and
-  (optionally) gate against the committed perf trajectory
-  ``BENCH_engine.json`` (see docs/PERFORMANCE.md).
+* ``bench`` — time the engine on the canonical operating points, gate
+  against (``--check-against``) or update (``--merge-into``) the
+  committed perf trajectory ``BENCH_engine.json`` (docs/PERFORMANCE.md).
 
-``simulate`` and ``trace`` accept ``--profile`` to time the engine's hot
-phases (routing decision, switch allocation, flit advance).
-``simulate``/``sweep``/``trace``/``figure``/``faults`` accept
-``--selection``/``--selection-threshold`` to swap the output-selection
-policy.
+Simulation knobs come from one table, :data:`KNOBS`, mapping each
+exposed ``SimulationConfig`` field to its flag (``--vc`` is
+``virtual_channels``).  A simulation command names a base config and
+the fields it exposes; flag defaults are the base's values, and
+:func:`_config` applies the flags to the base.
 
 ``sweep``, ``figure``, ``faults``, ``selection``, and ``saturation``
 route through the parallel experiment runner: ``--jobs N`` fans the
@@ -50,24 +51,35 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional
+from dataclasses import asdict, replace
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
-from .analysis import FAST, FIGURE_HARNESSES, FULL, format_figure
+from .analysis import (
+    FAST,
+    FIGURE_HARNESSES,
+    FULL,
+    find_saturation_many,
+    format_figure,
+    format_saturation_points,
+)
 from .analysis.bench import (
     batch_bench_points,
     bench_points,
     compare_reports,
     load_report,
+    merge_report,
     run_bench,
     write_report,
 )
 from .analysis.faultsweep import (
     DEFAULT_ALGORITHMS,
+    DEFAULT_FAULT_COUNTS,
     campaign_config,
     run_fault_campaign,
 )
 from .analysis.selection import (
     DEFAULT_COMPARE_ALGORITHMS,
+    DEFAULT_COMPARE_LOADS,
     DEFAULT_COMPARE_PATTERNS,
     DEFAULT_POLICIES,
     comparison_config,
@@ -107,6 +119,7 @@ TURN_MODELS = {
     "negative-first": TurnModel.negative_first,
 }
 
+
 def parse_topology(spec: str) -> Topology:
     """Parse ``mesh:16x16`` / ``cube:8`` / ``torus:8x2`` specs."""
     try:
@@ -120,6 +133,147 @@ def make_pattern(name: str, topology: Topology):
         return _make_pattern(name, topology)
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
+
+
+def _checked(convert: Callable[[str], float], noun: str, rule: str, ok):
+    """An argparse type: ``convert(text)``, rejected unless ``ok(value)``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, "an integer", "a positive integer", lambda v: v > 0)
+_non_negative_int = _checked(int, "an integer", "an integer >= 0", lambda v: v >= 0)
+_positive_float = _checked(float, "a number", "a positive number", lambda v: v > 0)
+_non_negative_float = _checked(float, "a number", "a number >= 0", lambda v: v >= 0)
+
+
+def _csv(item: Callable[[str], object] = str):
+    """An argparse type: a non-empty comma-separated list of ``item``."""
+
+    def parse(text: str) -> list:
+        values = [item(part.strip()) for part in text.split(",") if part.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        return values
+
+    return parse
+
+
+class Knob(NamedTuple):
+    """One :class:`SimulationConfig` field exposed as a flag."""
+
+    flag: str
+    type: Optional[Callable[[str], object]] = None
+    help: str = ""
+    choices: Optional[Sequence[str]] = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+KNOBS: Dict[str, Knob] = {
+    "offered_load": Knob("--load", float, "offered load (flits/us/node)"),
+    "warmup_cycles": Knob("--warmup", int, "cycles simulated before measuring"),
+    "measure_cycles": Knob("--cycles", int, "measured cycles"),
+    "drain_cycles": Knob(
+        "--drain",
+        _non_negative_int,
+        "post-measurement cycles to let in-flight packets resolve",
+    ),
+    "seed": Knob("--seed", int, "simulation seed"),
+    "buffer_depth": Knob("--buffer-depth", int, "flit buffers per channel"),
+    "virtual_channels": Knob("--vc", int, "virtual channels per link"),
+    "deadlock_threshold": Knob(
+        "--deadlock-threshold",
+        _positive_int,
+        "cycles of global silence before declaring deadlock",
+    ),
+    "packet_timeout": Knob(
+        "--packet-timeout",
+        _non_negative_int,
+        "per-packet stall watchdog in cycles (0 disables)",
+    ),
+    "max_retries": Knob(
+        "--max-retries", _non_negative_int, "source retries after a drop (0 disables)"
+    ),
+    "retry_backoff_base": Knob(
+        "--retry-backoff-base",
+        _positive_int,
+        "cycles before the first retry (doubles per attempt)",
+    ),
+    "retry_backoff_cap": Knob(
+        "--retry-backoff-cap", _positive_int, "upper bound on the retry backoff delay"
+    ),
+    "output_selection": Knob(
+        "--selection",
+        help="output-selection policy among the free legal candidates "
+        "(xy is the paper's rule; docs/SELECTION.md)",
+        choices=selection_policy_names(),
+    ),
+    "selection_threshold": Knob(
+        "--selection-threshold",
+        _non_negative_int,
+        "downstream occupancy at which the 'threshold' policy reroutes "
+        "(other policies ignore it)",
+    ),
+    "backend": Knob(
+        "--backend", help="engine backend (array requires numpy)", choices=BACKENDS
+    ),
+}
+"""Each exposed :class:`SimulationConfig` field and its flag."""
+
+_WINDOW = ("warmup_cycles", "measure_cycles", "seed")
+_POINT = _WINDOW + ("buffer_depth", "virtual_channels")
+_WATCHDOG = ("deadlock_threshold", "packet_timeout", "max_retries")
+_BACKOFF = ("retry_backoff_base", "retry_backoff_cap")
+_SELECTION = ("output_selection", "selection_threshold")
+_ENGINE = _WATCHDOG + _BACKOFF + _SELECTION + ("backend",)
+
+TRACE_BASE = SimulationConfig(warmup_cycles=500, measure_cycles=2_000)
+"""``repro trace``'s base: short windows, since the trace file grows
+with every simulated cycle."""
+
+
+def _add_knobs(p: argparse.ArgumentParser, base, fields: Sequence[str]) -> None:
+    """Expose ``fields`` of ``base`` (a :class:`SimulationConfig` or an
+    :class:`~repro.analysis.ExperimentPreset`) as :data:`KNOBS` flags
+    defaulting to ``base``'s values; :func:`_config` applies them."""
+    for field in fields:
+        knob = KNOBS[field]
+        p.add_argument(
+            knob.flag,
+            type=knob.type,
+            choices=knob.choices,
+            default=getattr(base, field),
+            help=f"{knob.help} (default: %(default)s)",
+        )
+    p.set_defaults(parser=p, config_base=base, config_knobs=tuple(fields))
+
+
+def _config(args, base=None):
+    """The command's config: ``base`` (default: the one its parser was
+    built from) with every knob flag that differs from it applied, or
+    ``base`` itself when none does.  A value the config rejects is a
+    usage error."""
+    base = args.config_base if base is None else base
+    picked = {field: getattr(args, KNOBS[field].dest) for field in args.config_knobs}
+    changed = {f: v for f, v in picked.items() if v != getattr(base, f)}
+    if not changed:
+        return base
+    try:
+        return replace(base, **changed)
+    except ValueError as exc:
+        args.parser.error(str(exc))
 
 
 def cmd_list(args) -> int:
@@ -159,79 +313,19 @@ def cmd_turns(args) -> int:
     factory = TURN_MODELS.get(args.model)
     if factory is None:
         raise SystemExit(
-            f"unknown turn model {args.model!r}; choose from "
-            f"{sorted(TURN_MODELS)}"
+            f"unknown turn model {args.model!r}; choose from {sorted(TURN_MODELS)}"
         )
     print(render_turn_set(factory()))
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer that must be strictly positive."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}"
-        )
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """argparse type: a float that must be strictly positive."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive number, got {value}"
-        )
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    """argparse type: an integer that must be >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {value}"
-        )
-    return value
-
-
-def _config(args) -> SimulationConfig:
-    return SimulationConfig(
-        offered_load=getattr(args, "load", 1.0),
-        warmup_cycles=args.warmup,
-        measure_cycles=args.cycles,
-        seed=args.seed,
-        buffer_depth=args.buffer_depth,
-        virtual_channels=getattr(args, "vc", 1),
-        output_selection=getattr(args, "selection", "xy"),
-        selection_threshold=getattr(args, "selection_threshold", 2),
-        deadlock_threshold=getattr(args, "deadlock_threshold", 5_000),
-        packet_timeout=getattr(args, "packet_timeout", 0),
-        max_retries=getattr(args, "max_retries", 0),
-        retry_backoff_base=getattr(args, "retry_backoff_base", 32),
-        retry_backoff_cap=getattr(args, "retry_backoff_cap", 2_048),
-        backend=getattr(args, "backend", "event"),
-    )
-
-
 def cmd_simulate(args) -> int:
+    config = _config(args)
     topology = parse_topology(args.topology)
     algorithm = make_algorithm(args.algorithm, topology)
     pattern = make_pattern(args.pattern, topology)
     profiler = PhaseProfiler() if args.profile else None
-    result = make_simulator(
-        algorithm, pattern, _config(args), profiler=profiler
-    ).run()
+    result = make_simulator(algorithm, pattern, config, profiler=profiler).run()
     print(result.summary())
     if result.avg_hops is not None:
         print(
@@ -246,21 +340,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    config = _config(args).with_observability(channel_series_period=args.series_period)
     topology = parse_topology(args.topology)
     algorithm = make_algorithm(args.algorithm, topology)
     pattern = make_pattern(args.pattern, topology)
-    kinds = None
-    if args.events:
-        kinds = [part.strip() for part in args.events.split(",") if part.strip()]
+    kinds = args.events
+    if kinds is not None:
         unknown = sorted(set(kinds) - set(EVENT_KINDS))
         if unknown:
             raise SystemExit(
-                f"unknown trace event kinds {unknown}; "
-                f"choose from {list(EVENT_KINDS)}"
+                f"unknown trace event kinds {unknown}; choose from {list(EVENT_KINDS)}"
             )
-    config = _config(args).with_observability(
-        channel_series_period=args.series_period
-    )
     header = trace_header(
         topology=args.topology,
         algorithm=algorithm.name,
@@ -271,9 +361,7 @@ def cmd_trace(args) -> int:
     if kinds is not None:
         sink = FilteringSink(sink, kinds)
     profiler = PhaseProfiler() if args.profile else None
-    simulator = make_simulator(
-        algorithm, pattern, config, sink=sink, profiler=profiler
-    )
+    simulator = make_simulator(algorithm, pattern, config, sink=sink, profiler=profiler)
     result = simulator.run()
     sink.close()
 
@@ -291,9 +379,7 @@ def cmd_trace(args) -> int:
     heatmap_text = None
     if args.heatmap is not None:
         if not isinstance(topology, Mesh2D):
-            raise SystemExit(
-                "--heatmap requires a 2D mesh topology (mesh:AxB)"
-            )
+            raise SystemExit("--heatmap requires a 2D mesh topology (mesh:AxB)")
         if totals is None:
             raise SystemExit(
                 "--heatmap needs a non-empty utilization series (the run "
@@ -329,9 +415,7 @@ def cmd_trace(args) -> int:
     print(result.summary())
     print()
     print(summary.render())
-    pct = {
-        f"p{p:g}": result.latency_percentile(p) for p in (50, 90, 99, 100)
-    }
+    pct = {f"p{p:g}": result.latency_percentile(p) for p in (50, 90, 99, 100)}
     if pct["p50"] is not None:
         shown = ", ".join(f"{k}={v}" for k, v in pct.items())
         print(f"creation->delivery latency (cycles): {shown}")
@@ -349,22 +433,19 @@ def cmd_trace(args) -> int:
 
 
 def _make_runner(args) -> ParallelSweepRunner:
-    """Build the experiment runner the sweep/figure commands route
-    through, from the shared ``--jobs``/``--cache*``/``--force`` flags
-    and the supervision knobs (docs/RESILIENCE.md)."""
-    cache = None
-    if getattr(args, "cache", True):
-        cache = ResultCache(getattr(args, "cache_dir", None))
+    """Build the experiment runner the campaign commands route through,
+    from the shared ``--jobs``/``--cache*``/``--force`` flags and the
+    supervision knobs (docs/RESILIENCE.md)."""
     try:
         return ParallelSweepRunner(
-            jobs=getattr(args, "jobs", 1),
-            cache=cache,
-            force=getattr(args, "force", False),
-            point_timeout=getattr(args, "point_timeout", None),
-            max_point_retries=getattr(args, "max_point_retries", 0),
-            keep_going=getattr(args, "keep_going", False),
-            journal=getattr(args, "journal", None),
-            resume=getattr(args, "resume", False),
+            jobs=args.jobs,
+            cache=ResultCache(args.cache_dir) if args.cache else None,
+            force=args.force,
+            point_timeout=args.point_timeout,
+            max_point_retries=args.max_point_retries,
+            keep_going=args.keep_going,
+            journal=args.journal,
+            resume=args.resume,
         )
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
@@ -374,7 +455,7 @@ def _print_array_coverage(args, configs, force: bool = False) -> None:
     """For ``--backend array`` runs: print what fraction of the points
     ride the vectorized kernels (and why the rest demoted to the
     scalar-member fallback), so silent fast-path loss is visible."""
-    if not force and getattr(args, "backend", "event") != "array":
+    if not force and args.backend != "array":
         return
     if not configs or getattr(args, "json", False):
         return
@@ -402,26 +483,18 @@ def _finish_runner(runner: ParallelSweepRunner, args) -> int:
     journal.  Returns the command exit code: 0 clean, 3 when points
     permanently failed under ``--keep-going`` (partial results were
     still printed)."""
-    quiet = getattr(args, "json", False)
-    if not quiet:
+    if not getattr(args, "json", False):
         print(f"[{runner.stats.summary()}]")
     if runner.failures:
-        print(
-            f"{len(runner.failures)} point(s) permanently failed:",
-            file=sys.stderr,
-        )
+        print(f"{len(runner.failures)} point(s) permanently failed:", file=sys.stderr)
         for failure in runner.failures:
             print(f"  {failure.describe()}", file=sys.stderr)
-        manifest = getattr(args, "failure_manifest", None)
+        manifest = args.failure_manifest
         if manifest:
             with open(manifest, "w", encoding="utf-8") as fh:
                 for failure in runner.failures:
-                    fh.write(
-                        json.dumps(
-                            failure.to_dict(), sort_keys=True, default=str
-                        )
-                        + "\n"
-                    )
+                    record = json.dumps(failure.to_dict(), sort_keys=True, default=str)
+                    fh.write(record + "\n")
             print(f"failure manifest written to {manifest}", file=sys.stderr)
         runner.close()
         return 3
@@ -429,17 +502,24 @@ def _finish_runner(runner: ParallelSweepRunner, args) -> int:
     return 0
 
 
+def _progress(args):
+    """The per-point progress printer, silent under ``--json``."""
+    if getattr(args, "json", False):
+        return None
+    return lambda result: print("  ...", result.summary(), flush=True)
+
+
 def cmd_sweep(args) -> int:
+    config = _config(args)
     topology = parse_topology(args.topology)
     algorithm = make_algorithm(args.algorithm, topology)
     pattern = make_pattern(args.pattern, topology)
-    loads = [float(part) for part in args.loads.split(",")]
     runner = _make_runner(args)
     series = run_sweep(
         algorithm,
         pattern,
-        loads,
-        _config(args),
+        args.loads,
+        config,
         progress=lambda r: print("  ", r.summary(), flush=True),
         runner=runner,
     )
@@ -450,93 +530,43 @@ def cmd_sweep(args) -> int:
         f"max sustainable throughput: "
         f"{series.max_sustainable_throughput():.1f} flits/us"
     )
-    _print_array_coverage(args, [_config(args)] * len(loads))
+    _print_array_coverage(args, [config] * len(args.loads))
     return _finish_runner(runner, args)
 
 
 def _resolve_figure(name: str):
     """Accept both ``fig13`` and the bare paper number ``13``."""
-    harness = FIGURE_HARNESSES.get(name)
-    if harness is None:
-        harness = FIGURE_HARNESSES.get(f"fig{name}")
-        if harness is not None:
-            name = f"fig{name}"
-    if harness is None:
-        raise SystemExit(
-            f"unknown figure {name!r}; choose from "
-            f"{sorted(FIGURE_HARNESSES)}"
-        )
-    return name, harness
+    for key in (name, f"fig{name}"):
+        if key in FIGURE_HARNESSES:
+            return key, FIGURE_HARNESSES[key]
+    raise SystemExit(f"unknown figure {name!r}; choose from {sorted(FIGURE_HARNESSES)}")
 
 
 def cmd_figure(args) -> int:
-    from dataclasses import replace
-
     name, harness = _resolve_figure(args.name)
-    preset = FULL if (args.full or args.preset == "full") else FAST
-    overrides = {
-        knob: getattr(args, knob)
-        for knob in ("deadlock_threshold", "packet_timeout", "max_retries")
-        if getattr(args, knob) != getattr(preset, knob)
-    }
-    if args.selection != preset.output_selection:
-        overrides["output_selection"] = args.selection
-    if args.selection_threshold != preset.selection_threshold:
-        overrides["selection_threshold"] = args.selection_threshold
-    if args.backend != preset.backend:
-        overrides["backend"] = args.backend
-    if overrides:
-        preset = replace(preset, **overrides)
+    preset = _config(args, FULL if (args.full or args.preset == "full") else FAST)
     runner = _make_runner(args)
-    series = harness(
-        preset,
-        progress=lambda r: print("  ...", r.summary(), flush=True),
-        runner=runner,
-    )
+    series = harness(preset, progress=_progress(args), runner=runner)
     print()
     print(format_figure(name, series))
     return _finish_runner(runner, args)
 
 
 def cmd_faults(args) -> int:
-    algorithms = [part.strip() for part in args.algorithms.split(",") if part.strip()]
-    if not algorithms:
-        raise SystemExit("--algorithms must name at least one algorithm")
-    try:
-        fault_counts = [int(part) for part in args.faults.split(",")]
-    except ValueError:
-        raise SystemExit(f"bad --faults list {args.faults!r}")
-    config = campaign_config(
-        offered_load=args.load,
-        warmup_cycles=args.warmup,
-        measure_cycles=args.cycles,
-        seed=args.seed,
-        packet_timeout=args.packet_timeout,
-        max_retries=args.max_retries,
-        drain_cycles=args.drain,
-        retry_backoff_base=args.retry_backoff_base,
-        retry_backoff_cap=args.retry_backoff_cap,
-        deadlock_threshold=args.deadlock_threshold,
-        output_selection=args.selection,
-        selection_threshold=args.selection_threshold,
-        backend=args.backend,
-    )
+    config = _config(args)
     runner = _make_runner(args)
-    progress = None
-    if not args.json:
-        progress = lambda r: print("  ...", r.summary(), flush=True)  # noqa: E731
     try:
         campaign = run_fault_campaign(
             topology=args.topology,
-            algorithms=algorithms,
+            algorithms=args.algorithms,
             pattern=args.pattern,
-            fault_counts=fault_counts,
+            fault_counts=args.faults,
             trials=args.trials,
             base_config=config,
             seed=args.campaign_seed,
             fault_start=args.fault_start,
             runner=runner,
-            progress=progress,
+            progress=_progress(args),
         )
     except (KeyError, ValueError) as exc:
         raise SystemExit(str(exc)) from exc
@@ -551,39 +581,21 @@ def cmd_faults(args) -> int:
 
 
 def cmd_selection(args) -> int:
-    def _csv(text: str) -> List[str]:
-        return [part.strip() for part in text.split(",") if part.strip()]
-
-    algorithms = _csv(args.algorithms)
-    patterns = _csv(args.patterns)
-    policies = _csv(args.policies)
-    try:
-        loads = [float(part) for part in args.loads.split(",")]
-    except ValueError:
-        raise SystemExit(f"bad --loads list {args.loads!r}")
-    config = comparison_config(
-        warmup_cycles=args.warmup,
-        measure_cycles=args.cycles,
-        seed=args.seed,
-        backend=args.backend,
-    )
+    config = _config(args)
     runner = _make_runner(args)
-    progress = None
-    if not args.json:
-        progress = lambda r: print("  ...", r.summary(), flush=True)  # noqa: E731
     try:
         comparison = run_selection_comparison(
             topology=args.topology,
-            algorithms=algorithms,
-            patterns=patterns,
-            policies=policies,
-            loads=loads,
+            algorithms=args.algorithms,
+            patterns=args.patterns,
+            policies=args.policies,
+            loads=args.loads,
             base_config=config,
             fault_links=args.fault_links,
             fault_seed=args.fault_seed,
-            selection_threshold=args.selection_threshold,
+            selection_threshold=config.selection_threshold,
             runner=runner,
-            progress=progress,
+            progress=_progress(args),
         )
     except (KeyError, ValueError) as exc:
         raise SystemExit(str(exc)) from exc
@@ -597,51 +609,27 @@ def cmd_selection(args) -> int:
 
 
 def cmd_saturation(args) -> int:
-    from .analysis import find_saturation_many, format_saturation_points
-
-    algorithms = [
-        part.strip() for part in args.algorithms.split(",") if part.strip()
-    ]
-    if not algorithms:
-        raise SystemExit("--algorithms must name at least one algorithm")
-    patterns = [
-        part.strip() for part in args.patterns.split(",") if part.strip()
-    ]
-    if not patterns:
-        raise SystemExit("--patterns must name at least one pattern")
+    config = _config(args)
     topology = parse_topology(args.topology)
     try:
         pairs = [
-            (make_algorithm(algorithm, topology), _make_pattern(p, topology))
-            for algorithm in algorithms
-            for p in patterns
+            (make_algorithm(algorithm, topology), _make_pattern(pattern, topology))
+            for algorithm in args.algorithms
+            for pattern in args.patterns
         ]
     except (KeyError, ValueError) as exc:
         raise SystemExit(str(exc)) from exc
     runner = _make_runner(args)
     points = find_saturation_many(
         pairs,
-        base_config=_config(args),
+        base_config=config,
         low=args.low,
         high=args.high,
         iterations=args.iterations,
         runner=runner,
     )
     if args.json:
-        payload = {
-            "topology": args.topology,
-            "points": [
-                {
-                    "algorithm": p.algorithm,
-                    "pattern": p.pattern,
-                    "max_sustainable_load": p.max_sustainable_load,
-                    "throughput_flits_per_us": p.throughput_flits_per_us,
-                    "latency_us": p.latency_us,
-                    "probes": p.probes,
-                }
-                for p in points
-            ],
-        }
+        payload = {"topology": args.topology, "points": [asdict(p) for p in points]}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(format_saturation_points(points))
@@ -669,27 +657,28 @@ def cmd_bench(args) -> int:
         baseline=baseline,
         label=args.label,
         progress=lambda m: print(
-            f"  {m.point.id:30s} {m.cycles_per_s:12.0f} cycles/s "
-            f"({m.wall_s:.3f}s)",
+            f"  {m.point.id:30s} {m.cycles_per_s:12.0f} cycles/s ({m.wall_s:.3f}s)",
             flush=True,
         ),
         batch_points=batch,
         batch_progress=lambda m: print(
-            f"  {m.point.id:30s} {m.points_per_s:12.2f} pts/s "
-            f"({m.speedup:.2f}x event)",
+            f"  {m.point.id:30s} {m.points_per_s:12.2f} pts/s ({m.speedup:.2f}x event)",
             flush=True,
         ),
     )
     print()
     print(report.render())
     if args.backend != "event":
-        configs = [
-            p.config() for p in points if p.backend == "array"
-        ] + [p.config(p.base_seed, "array") for p in batch]
+        configs = [p.config() for p in points if p.backend == "array"] + [
+            p.config(p.base_seed, "array") for p in batch
+        ]
         _print_array_coverage(args, configs, force=True)
     if args.out:
         write_report(report, args.out)
         print(f"report written to {args.out}")
+    if args.merge_into:
+        merge_report(report, args.merge_into)
+        print(f"merged into {args.merge_into}")
     if args.check_against:
         committed = load_report(args.check_against)
         problems = compare_reports(
@@ -702,6 +691,37 @@ def cmd_bench(args) -> int:
             return 1
         print(f"no regressions vs {args.check_against}")
     return 0
+
+
+def _add_point_args(p: argparse.ArgumentParser, topology: str) -> None:
+    """The algorithm/topology/pattern of a single-point command."""
+    p.add_argument("algorithm")
+    p.add_argument("--topology", default=topology)
+    p.add_argument("--pattern", default="uniform")
+
+
+def _add_list(p, flag: str, default: Sequence, help: str, item=str) -> None:
+    """A comma-separated list flag, defaulting to the library's tuple."""
+    joined = ",".join(map(str, default))
+    p.add_argument(
+        flag, type=_csv(item), default=joined, help=f"comma-separated {help}"
+    )
+
+
+def _add_json_flag(p: argparse.ArgumentParser, what: str) -> None:
+    p.add_argument(
+        "--json",
+        action="store_true",
+        help=f"emit the {what} as JSON instead of the text report",
+    )
+
+
+def _add_profile_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--profile",
+        action="store_true",
+        help="time the engine's hot phases and print the report",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -721,58 +741,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="deadlock-freedom check (CDG)")
     p.add_argument("algorithm")
     p.add_argument("--topology", default="mesh:8x8")
-    p.add_argument(
-        "--connectivity", action="store_true", help="also walk all pairs"
-    )
+    p.add_argument("--connectivity", action="store_true", help="also walk all pairs")
 
     p = sub.add_parser("turns", help="render a prohibition set")
     p.add_argument("model")
 
-    for name, helptext in (
-        ("simulate", "one operating point"),
-        ("sweep", "latency/throughput curve"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("algorithm")
-        p.add_argument("--topology", default="mesh:16x16")
-        p.add_argument("--pattern", default="uniform")
-        p.add_argument("--warmup", type=int, default=2_000)
-        p.add_argument("--cycles", type=int, default=8_000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--buffer-depth", type=int, default=1)
-        p.add_argument(
-            "--vc", type=int, default=1, help="virtual channels per link"
-        )
-        _add_robustness_flags(p)
-        _add_selection_flags(p)
-        _add_backend_flag(p)
-        if name == "simulate":
-            p.add_argument("--load", type=float, default=1.0)
-            p.add_argument(
-                "--profile",
-                action="store_true",
-                help="time the engine's hot phases and print the report",
-            )
-        else:
-            p.add_argument("--loads", default="0.5,1.0,1.5,2.0")
-            _add_runner_flags(p)
+    p = sub.add_parser("simulate", help="one operating point")
+    _add_point_args(p, "mesh:16x16")
+    _add_knobs(p, SimulationConfig(), ("offered_load",) + _POINT + _ENGINE)
+    _add_profile_flag(p)
+
+    p = sub.add_parser("sweep", help="latency/throughput curve")
+    _add_point_args(p, "mesh:16x16")
+    _add_knobs(p, SimulationConfig(), _POINT + _ENGINE)
+    _add_list(p, "--loads", (0.5, 1.0, 1.5, 2.0), "offered loads", _non_negative_float)
+    _add_runner_flags(p)
 
     p = sub.add_parser(
         "trace",
-        help="flit-level event trace of one operating point "
-        "(docs/OBSERVABILITY.md)",
+        help="flit-level event trace of one operating point (docs/OBSERVABILITY.md)",
     )
-    p.add_argument("algorithm")
-    p.add_argument("--topology", default="mesh:8x8")
-    p.add_argument("--pattern", default="uniform")
-    p.add_argument("--load", type=float, default=1.0)
-    p.add_argument("--warmup", type=int, default=500)
-    p.add_argument("--cycles", type=int, default=2_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--buffer-depth", type=int, default=1)
-    p.add_argument(
-        "--vc", type=int, default=1, help="virtual channels per link"
-    )
+    _add_point_args(p, "mesh:8x8")
+    _add_knobs(p, TRACE_BASE, ("offered_load",) + _POINT + _ENGINE)
     p.add_argument(
         "--out",
         default="trace.jsonl",
@@ -780,6 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--events",
+        type=_csv(),
         default=None,
         help="comma-separated event kinds to keep (default: all)",
     )
@@ -795,19 +786,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write per-direction channel-utilization heatmaps to this "
         "file ('-' prints them; 2D meshes only)",
     )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the run + trace summary as JSON instead of text",
-    )
-    p.add_argument(
-        "--profile",
-        action="store_true",
-        help="time the engine's hot phases and print the report",
-    )
-    _add_robustness_flags(p)
-    _add_selection_flags(p)
-    _add_backend_flag(p)
+    _add_json_flag(p, "run + trace summary")
+    _add_profile_flag(p)
 
     p = sub.add_parser("figure", help="regenerate a paper figure")
     p.add_argument("name", help="fig13..fig16, or the bare number")
@@ -822,25 +802,19 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="alias for --preset full (kept for compatibility)",
     )
-    _add_robustness_flags(p)
-    _add_selection_flags(p)
-    _add_backend_flag(p)
+    # The preset knobs are the same in FAST and FULL; cmd_figure applies
+    # the flags to whichever preset was chosen.
+    _add_knobs(p, FAST, _WATCHDOG + _SELECTION + ("backend",))
     _add_runner_flags(p)
 
     p = sub.add_parser(
         "faults", help="seeded fault-injection campaign (docs/FAULTS.md)"
     )
     p.add_argument("--topology", default="mesh:16x16")
-    p.add_argument(
-        "--algorithms",
-        default=",".join(DEFAULT_ALGORITHMS),
-        help="comma-separated routing algorithms to compare",
-    )
+    _add_list(p, "--algorithms", DEFAULT_ALGORITHMS, "routing algorithms to compare")
     p.add_argument("--pattern", default="uniform")
-    p.add_argument(
-        "--faults",
-        default="1,2,4,8",
-        help="comma-separated failed-link counts to sweep",
+    _add_list(
+        p, "--faults", DEFAULT_FAULT_COUNTS, "failed-link counts", _non_negative_int
     )
     p.add_argument(
         "--trials",
@@ -848,16 +822,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         help="fault plans drawn per fault count (default 3)",
     )
-    p.add_argument("--load", type=float, default=0.5)
-    p.add_argument("--warmup", type=int, default=500)
-    p.add_argument("--cycles", type=int, default=4_000)
-    p.add_argument(
-        "--drain",
-        type=_non_negative_int,
-        default=3_000,
-        help="post-measurement cycles to let in-flight packets resolve",
+    _add_knobs(
+        p, campaign_config(), ("offered_load", "drain_cycles") + _WINDOW + _ENGINE
     )
-    p.add_argument("--seed", type=int, default=1, help="simulation seed")
     p.add_argument(
         "--campaign-seed",
         type=int,
@@ -870,16 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="cycle the failures appear at (0 = broken from the start)",
     )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the campaign as JSON instead of the text report",
-    )
-    _add_robustness_flags(
-        p, packet_timeout_default=800, max_retries_default=2
-    )
-    _add_selection_flags(p)
-    _add_backend_flag(p)
+    _add_json_flag(p, "campaign")
     _add_runner_flags(p)
 
     p = sub.add_parser(
@@ -888,29 +846,11 @@ def build_parser() -> argparse.ArgumentParser:
         "patterns, and a fault plan (docs/SELECTION.md)",
     )
     p.add_argument("--topology", default="mesh:16x16")
-    p.add_argument(
-        "--algorithms",
-        default=",".join(DEFAULT_COMPARE_ALGORITHMS),
-        help="comma-separated routing algorithms to compare under",
-    )
-    p.add_argument(
-        "--patterns",
-        default=",".join(DEFAULT_COMPARE_PATTERNS),
-        help="comma-separated traffic patterns",
-    )
-    p.add_argument(
-        "--policies",
-        default=",".join(DEFAULT_POLICIES),
-        help="comma-separated selection policies (xy is the baseline)",
-    )
-    p.add_argument(
-        "--loads",
-        default="0.6,1.2,2.0",
-        help="comma-separated offered loads (flits/us/node)",
-    )
-    p.add_argument("--warmup", type=int, default=800)
-    p.add_argument("--cycles", type=int, default=3_000)
-    p.add_argument("--seed", type=int, default=1, help="simulation seed")
+    _add_list(p, "--algorithms", DEFAULT_COMPARE_ALGORITHMS, "routing algorithms")
+    _add_list(p, "--patterns", DEFAULT_COMPARE_PATTERNS, "traffic patterns")
+    _add_list(p, "--policies", DEFAULT_POLICIES, "policies (xy is the baseline)")
+    _add_list(p, "--loads", DEFAULT_COMPARE_LOADS, "offered loads", _non_negative_float)
+    _add_knobs(p, comparison_config(), _WINDOW + ("selection_threshold", "backend"))
     p.add_argument(
         "--fault-links",
         type=_non_negative_int,
@@ -924,19 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed the shared fault plan derives from",
     )
-    p.add_argument(
-        "--selection-threshold",
-        type=_non_negative_int,
-        default=2,
-        help="downstream occupancy at which the 'threshold' policy "
-        "reroutes",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the comparison as JSON instead of the text report",
-    )
-    _add_backend_flag(p)
+    _add_json_flag(p, "comparison")
     _add_runner_flags(p)
 
     p = sub.add_parser(
@@ -944,164 +872,78 @@ def build_parser() -> argparse.ArgumentParser:
         help="batched bisection search for each (algorithm x pattern) "
         "pair's maximum sustainable load",
     )
+    p.add_argument("--topology", default="mesh:16x16")
+    _add_list(p, "--algorithms", DEFAULT_ALGORITHMS, "routing algorithms to search")
+    _add_list(p, "--patterns", ("uniform",), "traffic patterns")
     p.add_argument(
-        "--topology", default="mesh:16x16"
+        "--low",
+        type=float,
+        default=0.0,
+        help="known-sustainable lower bound (flits/us/node)",
     )
     p.add_argument(
-        "--algorithms",
-        default=",".join(DEFAULT_ALGORITHMS),
-        help="comma-separated routing algorithms to search",
+        "--high", type=float, default=8.0, help="assumed-unsustainable upper bound"
     )
-    p.add_argument(
-        "--patterns",
-        default="uniform",
-        help="comma-separated traffic patterns",
-    )
-    p.add_argument("--low", type=float, default=0.0,
-                   help="known-sustainable lower bound (flits/us/node)")
-    p.add_argument("--high", type=float, default=8.0,
-                   help="assumed-unsustainable upper bound")
     p.add_argument(
         "--iterations",
         type=_positive_int,
         default=6,
         help="bisection probes per pair (resolution (high-low)/2**n)",
     )
-    p.add_argument("--warmup", type=int, default=2_000)
-    p.add_argument("--cycles", type=int, default=8_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--buffer-depth", type=int, default=1)
-    p.add_argument(
-        "--vc", type=int, default=1, help="virtual channels per link"
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the saturation points as JSON instead of the table",
-    )
-    _add_robustness_flags(p)
-    _add_selection_flags(p)
-    _add_backend_flag(p)
+    _add_knobs(p, SimulationConfig(), _POINT + _ENGINE)
+    _add_json_flag(p, "saturation points")
     _add_runner_flags(p)
 
     p = sub.add_parser(
         "bench",
-        help="engine benchmark on the canonical operating points "
-        "(docs/PERFORMANCE.md)",
+        help="engine benchmark on the canonical operating points (docs/PERFORMANCE.md)",
     )
     p.add_argument(
-        "--quick", action="store_true",
-        help="run only the quick CI subset of points",
+        "--quick", action="store_true", help="run only the quick CI subset of points"
     )
     p.add_argument(
-        "--backend", choices=("event", "array", "both"), default="event",
+        "--backend",
+        choices=("event", "array", "both"),
+        default="event",
         help="engine backend(s) to benchmark; array/both also run the "
         "batched-sweep points-per-second points (default event)",
     )
     p.add_argument(
-        "--no-batch", action="store_true",
-        help="skip the batched-sweep points",
+        "--no-batch", action="store_true", help="skip the batched-sweep points"
     )
     p.add_argument(
-        "--repeats", type=_positive_int, default=2,
+        "--repeats",
+        type=_positive_int,
+        default=2,
         help="timed repeats per point; the best wall is kept (default 2)",
     )
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument(
-        "--label", default="", help="free-text label stored in the report"
+        "--merge-into",
+        default=None,
+        metavar="PATH",
+        help="fold this run's points into an existing report file, keeping "
+        "the points it did not re-measure",
     )
+    p.add_argument("--label", default="", help="free-text label stored in the report")
     p.add_argument(
-        "--baseline", default=None,
+        "--baseline",
+        default=None,
         help="prior report folded in as per-point baselines (speedup column)",
     )
     p.add_argument(
-        "--check-against", default=None,
+        "--check-against",
+        default=None,
         help="committed report to gate against (fingerprints + cycles/s)",
     )
     p.add_argument(
-        "--fail-threshold", type=float, default=0.30,
-        help="max allowed cycles/s regression vs --check-against "
-        "(default 0.30)",
+        "--fail-threshold",
+        type=float,
+        default=0.30,
+        help="max allowed cycles/s regression vs --check-against (default 0.30)",
     )
 
     return parser
-
-
-def _add_robustness_flags(
-    p: argparse.ArgumentParser,
-    packet_timeout_default: int = 0,
-    max_retries_default: int = 0,
-) -> None:
-    """The watchdog/retry knobs shared by simulate/sweep/figure/faults.
-
-    Validation lives in the argparse types: non-positive
-    ``--deadlock-threshold`` or backoff values are rejected with a clear
-    error instead of surfacing as a config ValueError deep in a worker.
-    """
-    p.add_argument(
-        "--deadlock-threshold",
-        type=_positive_int,
-        default=5_000,
-        help="cycles of global silence before declaring deadlock",
-    )
-    p.add_argument(
-        "--packet-timeout",
-        type=_non_negative_int,
-        default=packet_timeout_default,
-        help="per-packet stall watchdog in cycles (0 disables)",
-    )
-    p.add_argument(
-        "--max-retries",
-        type=_non_negative_int,
-        default=max_retries_default,
-        help="source retries after a drop (0 disables)",
-    )
-    p.add_argument(
-        "--retry-backoff-base",
-        type=_positive_int,
-        default=32,
-        help="cycles before the first retry (doubles per attempt)",
-    )
-    p.add_argument(
-        "--retry-backoff-cap",
-        type=_positive_int,
-        default=2_048,
-        help="upper bound on the retry backoff delay",
-    )
-
-
-def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    """The engine-backend selector shared by the simulation commands.
-
-    Both backends are bit-identical (docs/SIMULATOR.md); ``array``
-    requires the optional numpy extra and shines on batched sweeps.
-    """
-    p.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="event",
-        help="engine backend (default: event; array requires numpy)",
-    )
-
-
-def _add_selection_flags(p: argparse.ArgumentParser) -> None:
-    """The output-selection knobs shared by simulate/sweep/trace/figure/
-    faults (docs/SELECTION.md).  ``choices`` makes argparse reject an
-    unknown policy name with the valid list."""
-    p.add_argument(
-        "--selection",
-        default="xy",
-        choices=selection_policy_names(),
-        help="output-selection policy among the free legal candidates "
-        "(default xy, the paper's rule)",
-    )
-    p.add_argument(
-        "--selection-threshold",
-        type=_non_negative_int,
-        default=2,
-        help="downstream occupancy at which the 'threshold' policy "
-        "reroutes (other policies ignore it)",
-    )
 
 
 def _add_runner_flags(p: argparse.ArgumentParser) -> None:

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.cli import main, make_pattern, parse_topology
+from repro.analysis import FAST, FULL, campaign_config, comparison_config
+from repro.cli import _config, build_parser, main, make_pattern, parse_topology
+from repro.simulation import SimulationConfig
 from repro.topology import Hypercube, KAryNCube, Mesh2D
 
 
@@ -543,6 +545,45 @@ class TestBenchCommand:
         assert code == 1
         assert "fingerprint" in capsys.readouterr().err
 
+    def test_bench_merge_into_folds_points_into_the_report(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        self._patch_tiny_points(monkeypatch)
+        committed = {
+            "schema": 1,
+            "label": "committed",
+            "generated_at": "2000-01-01T00:00:00Z",
+            "python": "0.0",
+            "platform": "elsewhere",
+            "points": {
+                "other": {"cycles_per_s": 1.0},
+                "tiny": {"cycles_per_s": 2.0},
+            },
+            "batch_points": {"batch": {"points_per_s": 3.0}},
+        }
+        merged_path = tmp_path / "merged.json"
+        merged_path.write_text(json.dumps(committed))
+        fresh_path = tmp_path / "fresh.json"
+        code = main(
+            ["bench", "--repeats", "1", "--label", "re-run",
+             "--out", str(fresh_path), "--merge-into", str(merged_path)]
+        )
+        assert code == 0
+        assert f"merged into {merged_path}" in capsys.readouterr().out
+        fresh = json.loads(fresh_path.read_text())
+        merged = json.loads(merged_path.read_text())
+        # Fresh points replace same-id entries, the rest stay as they
+        # were; run metadata and the label come from the fresh run.
+        assert merged["points"] == {
+            "other": {"cycles_per_s": 1.0},
+            "tiny": fresh["points"]["tiny"],
+        }
+        assert merged["batch_points"] == committed["batch_points"]
+        for key in ("schema", "python", "platform", "label"):
+            assert merged[key] == fresh[key]
+        assert merged["generated_at"] != committed["generated_at"]
+        assert merged_path.read_text().endswith("}\n")
+
 
 class TestSupervisionFlags:
     """The crash-tolerance knobs threaded through the batch commands
@@ -658,3 +699,79 @@ class TestSupervisionFlags:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["points"][0]["algorithm"] == "xy"
+
+
+class TestConfigFromFlags:
+    """Each simulation command builds its config once, from a base
+    config and one flag per exposed field (``repro.cli.KNOBS``)."""
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["simulate", "xy", "--vc", "0"], "virtual_channels"),
+            (["simulate", "xy", "--warmup", "-1"], "cycle counts"),
+            (["simulate", "xy", "--load", "-1"], "offered_load"),
+            (["faults", "--cycles", "-3", "--no-cache"], "cycle counts"),
+            (["saturation", "--vc", "0", "--no-cache"], "virtual_channels"),
+            (["sweep", "xy", "--loads", "0.5,abc", "--no-cache"], "abc"),
+        ],
+        ids=[
+            "simulate-vc-0",
+            "simulate-warmup-negative",
+            "simulate-load-negative",
+            "faults-cycles-negative",
+            "saturation-vc-0",
+            "sweep-loads-not-a-number",
+        ],
+    )
+    def test_rejected_values_are_usage_errors(self, capsys, argv, fragment):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith(f"repro {argv[0]}: error:") and fragment in last
+
+    def test_figure_no_longer_offers_the_dead_backoff_flags(self, capsys):
+        # ExperimentPreset has no backoff fields: these flags never
+        # reached the figure's config, so they are usage errors.
+        for flag in ("--retry-backoff-base", "--retry-backoff-cap"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["figure", "13", "--max-retries", "2", flag, "64"])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, base",
+        [
+            (["simulate", "xy"], SimulationConfig),
+            (["sweep", "xy"], SimulationConfig),
+            (["saturation"], SimulationConfig),
+            (
+                ["trace", "xy"],
+                lambda: SimulationConfig(warmup_cycles=500, measure_cycles=2_000),
+            ),
+            (["faults"], campaign_config),
+            (["selection"], comparison_config),
+        ],
+        ids=["simulate", "sweep", "saturation", "trace", "faults", "selection"],
+    )
+    def test_default_flags_build_the_library_default(self, argv, base):
+        built = _config(build_parser().parse_args(argv))
+        assert built.stable_hash() == base().stable_hash()
+
+    def test_figure_default_flags_pass_the_preset_itself(self):
+        args = build_parser().parse_args(["figure", "13"])
+        assert _config(args) is FAST
+        assert _config(args, FULL) is FULL
+        assert _config(args).config().stable_hash() == FAST.config().stable_hash()
+
+    def test_flags_reach_their_config_fields(self):
+        args = build_parser().parse_args(
+            ["faults", "--drain", "7", "--selection", "zigzag"]
+        )
+        config = _config(args)
+        assert config.drain_cycles == 7
+        assert config.output_selection == "zigzag"
+        assert config.packet_timeout == 800  # campaign_config's default
